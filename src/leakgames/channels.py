@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import BadDistribution, IncompatibleRows, TypeMismatch
 from .labels import Label, label_key
-from .matrix import LabeledMatrix, concat, matrix_sum, scalar_mul, sorted_labels
+from .matrix import LabeledMatrix, concat, matrix_sum, scalar_mul
 from .simplex import LinearProgram, lp_solve, require_optimal
 
 VALIDATION_TOL = 1e-9
@@ -254,24 +254,3 @@ def equivalent(c1: Channel, c2: Channel, tol: float = 1e-7) -> EquivalenceResult
     if v21 is not None:
         return EquivalenceResult(False, max(r12, r21), None, v21)
     return EquivalenceResult(True, max(r12, r21), (co12, co21), None)
-
-
-def non_interferent(secrets, row: np.ndarray, cols=None) -> Channel:
-    """Channel with all rows equal to ``row``: leaks nothing."""
-    row = np.asarray(row, dtype=float)
-    if cols is None:
-        cols = tuple(f"y{i}" for i in range(row.shape[0]))
-    data = np.tile(row, (len(tuple(secrets)), 1))
-    return Channel(LabeledMatrix(tuple(secrets), tuple(cols), data))
-
-
-def product_distribution(mu: IndexDistribution, eta: IndexDistribution) -> IndexDistribution:
-    """Distribution over pair labels (i, j) with weight mu(i) * eta(j)."""
-    return IndexDistribution({
-        (i, j): mu.weights[i] * eta.weights[j]
-        for i in mu.weights for j in eta.weights
-    })
-
-
-def sorted_support_labels(family: Mapping[Label, Channel]):
-    return sorted_labels(family.keys())

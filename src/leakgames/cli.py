@@ -20,7 +20,7 @@ import numpy as np
 from . import jsonio
 from .channels import equivalent, hidden_choice, visible_choice
 from .errors import LeakGamesError
-from .games import audit_hierarchy, payoff_matrix, solve
+from .games import audit_hierarchy, hidden_branch_pieces, payoff_matrix, solve
 from .labels import format_label
 from .minimax import branch_value
 from .pwdcheck import (
@@ -30,7 +30,6 @@ from .pwdcheck import (
     measured_iterations,
     secret_labels,
 )
-from .games import hidden_branch_pieces
 from .vuln import Prior, VulnMeasure, leakage, posterior_vuln, prior_vuln
 
 EXIT_OK = 0
@@ -176,8 +175,8 @@ def cmd_pwd(args) -> int:
         return EXIT_OK
 
     # analyze: payoff table, hidden simultaneous equilibrium, uniform bound
-    u = payoff_matrix(game)
     if args.table:
+        u = payoff_matrix(game)
         with open(args.table, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["order"] + [format_label(a) for a in game.attackers])

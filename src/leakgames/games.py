@@ -20,7 +20,8 @@ Seven solve modes cover the order-of-play / visibility grid:
 
 Visible-choice payoffs are bilinear, so I-III reduce to a matrix game
 and pure argmin/argmax.  Hidden-choice payoffs are convex in the
-defender's mixture, handled by the epigraph LP in leakgames.minimax.
+defender's mixture, handled by leakgames.minimax.solve_convex_linear_game
+(the epigraph LP or its dual, whichever is smaller).
 
 Tie-breaking everywhere: lowest action in label order.  Solvers are
 pure per call over immutable inputs; independent solves may run

@@ -1,10 +1,10 @@
 """JSON formats for matrices, channels, priors, gain functions, games.
 
 Labels are rendered as strings ("inner@tag" for tagged labels, with
-"@", "(", ")" and backslash escaped inside atoms).  Matrix data is
+"@", "(", ")", "|" and backslash escaped inside atoms).  Matrix data is
 row-major.  Channel files are matrix files with "kind": "channel".
-Game channel keys are "defender|attacker"; the "|" separator means
-action labels must not contain a bare "|".
+Game channel keys are "defender|attacker", split at the one unescaped
+"|".
 
 Writing is deterministic: keys sorted, floats via repr, so identical
 objects produce byte-identical files.
@@ -18,7 +18,7 @@ from pathlib import Path
 from .channels import Channel, IndexDistribution
 from .errors import LeakGamesError
 from .games import LeakageGame
-from .labels import format_label, parse_label
+from .labels import format_label, parse_label, parse_label_pair
 from .matrix import LabeledMatrix
 from .vuln import GainFunction, Prior, VulnMeasure
 
@@ -135,10 +135,11 @@ def game_from_json(obj: dict) -> LeakageGame:
         measure = measure_from_json(obj["measure"], secrets=prior.labels)
         channels = {}
         for key, cobj in obj["channels"].items():
-            parts = key.split("|")
-            if len(parts) != 2:
-                raise FormatError(f"channel key {key!r} is not 'defender|attacker'")
-            channels[parse_label(parts[0]), parse_label(parts[1])] = channel_from_json(cobj)
+            try:
+                profile = parse_label_pair(key)
+            except ValueError:
+                raise FormatError(f"channel key {key!r} is not 'defender|attacker'") from None
+            channels[profile] = channel_from_json(cobj)
         return LeakageGame(defenders, attackers, channels, prior, measure)
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad game JSON: {exc}") from exc

@@ -12,10 +12,11 @@ tagged labels, atoms by string order, tagged labels lexicographically
 by (inner, tag).
 
 The text rendering used in JSON files writes a tagged label as
-``inner@tag``.  ``@``, ``\\``, ``(`` and ``)`` occurring inside atoms
-are escaped with a backslash.  Nesting on the left needs no grouping
-(``@`` reads left-associatively), a tag that is itself a pair is
-wrapped in parentheses, e.g. ``y@(1@2)``.
+``inner@tag``.  ``@``, ``\\``, ``(``, ``)`` and ``|`` occurring inside
+atoms are escaped with a backslash; an unescaped ``|`` separates the
+two labels of a pair (``parse_label_pair``).  Nesting on the left needs
+no grouping (``@`` reads left-associatively), a tag that is itself a
+pair is wrapped in parentheses, e.g. ``y@(1@2)``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Union
 
 Label = Union[str, tuple]
 
-_ESCAPED = "\\@()"
+_ESCAPED = "\\@()|"
 
 
 def tag(inner: Label, index: Label) -> tuple:
@@ -71,31 +72,39 @@ def format_label(label: Label) -> str:
 
 def parse_label(text: str) -> Label:
     """Inverse of :func:`format_label`."""
-    label, pos = _parse(text, 0, top=True)
+    label, pos = _parse(text, 0)
     if pos != len(text):
         raise ValueError(f"trailing characters in label: {text!r}")
     return label
 
 
-def _parse(text: str, pos: int, top: bool) -> tuple[Label, int]:
-    part, pos = _parse_part(text, pos)
-    label = part
+def parse_label_pair(text: str) -> tuple[Label, Label]:
+    """Read ``left|right``, two formatted labels joined by a bare ``|``."""
+    left, pos = _parse(text, 0)
+    if pos >= len(text) or text[pos] != "|":
+        raise ValueError(f"not a pair of labels 'left|right': {text!r}")
+    right, pos = _parse(text, pos + 1)
+    if pos != len(text):
+        raise ValueError(f"not a pair of labels 'left|right': {text!r}")
+    return left, right
+
+
+def _parse(text: str, pos: int) -> tuple[Label, int]:
+    label, pos = _parse_part(text, pos)
     while pos < len(text) and text[pos] == "@":
         part, pos = _parse_part(text, pos + 1)
         label = (label, part)
-    if not top and pos < len(text) and text[pos] == ")":
-        return label, pos
     return label, pos
 
 
 def _parse_part(text: str, pos: int) -> tuple[Label, int]:
     if pos < len(text) and text[pos] == "(":
-        label, pos = _parse(text, pos + 1, top=False)
+        label, pos = _parse(text, pos + 1)
         if pos >= len(text) or text[pos] != ")":
             raise ValueError(f"unbalanced parentheses in label: {text!r}")
         return label, pos + 1
     chars = []
-    while pos < len(text) and text[pos] not in "@()":
+    while pos < len(text) and text[pos] not in "@()|":
         if text[pos] == "\\":
             pos += 1
             if pos >= len(text):

@@ -136,9 +136,5 @@ def concat(family: Sequence[tuple[Label, LabeledMatrix]]) -> LabeledMatrix:
     return LabeledMatrix(first.rows, cols, np.hstack(blocks))
 
 
-def zero_like(m: LabeledMatrix) -> LabeledMatrix:
-    return LabeledMatrix(m.rows, m.cols, np.zeros_like(m.data))
-
-
 def sorted_labels(labels: Iterable[Label]) -> tuple[Label, ...]:
     return tuple(sorted(labels, key=label_key))

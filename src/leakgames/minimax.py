@@ -8,14 +8,26 @@ cross-validate the LP, not to replace it.
 ``solve_convex_linear_game`` handles the harder payoff shape where the
 row player's mixture enters a convex piecewise-linear function (one
 linear piece per observable/guess pair) and the column player takes the
-worst case.  It solves the epigraph linear program
+worst case.  Two dual linear programs give its value: the row
+player's epigraph LP
 
     min z   s.t.  t_{a,y} >= sum_d delta(d) k[a][y, w, d]   for all w,
                   z >= sum_y t_{a,y}                        for all a,
                   delta a distribution,
 
-and reads the column player's equilibrium off the duals of the per-a
-rows.
+with one row per piece (a, y, w), and the column player's LP
+
+    max g   s.t.  sum_a alpha(a) = 1,
+                  sum_w beta(a, y, w) = alpha(a)            for all (a, y),
+                  g <= sum_{a,y,w} beta(a, y, w) k[a][y, w, d]  for all d,
+
+with one row per (a, y) and per d.  First, pieces that can never bind
+are dropped: within each (a, y), a piece that duplicates an earlier one
+or is componentwise dominated by another (exact, since delta >= 0).
+Then the LP with fewer rows is solved.  From the epigraph LP, delta is
+its primal and alpha the duals of the per-a rows; from the column
+player's LP, alpha is its primal and delta the duals of the per-d rows.
+The uniqueness probes always use the full, unpruned pair.
 """
 
 from __future__ import annotations
@@ -77,16 +89,20 @@ def matrix_game_dual_lp(u: np.ndarray) -> LinearProgram:
     return LinearProgram.build(c, rows, sense="max", free=[n_a])
 
 
+def _distribution(weights: np.ndarray) -> np.ndarray:
+    """Clip to nonnegative and normalise; uniform when nothing is left."""
+    w = np.clip(weights, 0.0, None)
+    total = w.sum()
+    return w / total if total > 0 else np.full(w.shape[0], 1.0 / w.shape[0])
+
+
 def solve_matrix_game(payoff) -> MatrixGameSolution:
     """Saddle point of a finite zero-sum matrix game (row min, col max)."""
     u, _, _ = _payoff_array(payoff)
     n_d, n_a = u.shape
     sol = require_optimal(lp_solve(matrix_game_lp(u)), "matrix game LP")
-    delta = np.clip(sol.x[:n_d], 0.0, None)
-    delta /= delta.sum()
-    alpha = np.clip(-sol.duals[:n_a], 0.0, None)
-    total = alpha.sum()
-    alpha = alpha / total if total > 0 else np.full(n_a, 1.0 / n_a)
+    delta = _distribution(sol.x[:n_d])
+    alpha = _distribution(-sol.duals[:n_a])
     value = float(sol.objective)
     upper = float((delta @ u).max())
     lower = float((u @ alpha).min())
@@ -179,70 +195,178 @@ class ConvexGameSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class PieceSet:
+    """Epigraph pieces of a convex game, one row per piece.
+
+    ``k[i]`` holds the coefficients over delta of piece i, ``group[i]``
+    the index of its (a, y) group, and ``branch[g]`` the column-player
+    action a of group g.  Groups are numbered a-major, then y, and the
+    pieces of a group follow their w order, so the pieces of
+    ``from_arrays`` are the arrays' entries in row-major order.
+    """
+
+    k: np.ndarray
+    group: np.ndarray
+    branch: np.ndarray
+    n_a: int
+
+    @staticmethod
+    def from_arrays(pieces) -> "PieceSet":
+        """Flatten per-a arrays of shape (n_y, n_w, n_d); a PieceSet
+        passes through unchanged."""
+        if isinstance(pieces, PieceSet):
+            return pieces
+        pieces = [np.asarray(p, dtype=float) for p in pieces]
+        n_d = pieces[0].shape[2]
+        groups, branch = [], []
+        for a, p in enumerate(pieces):
+            if p.ndim != 3 or p.shape[2] != n_d:
+                raise ValueError("piece arrays must have shape (n_y, n_w, n_d)")
+            n_y, n_w, _ = p.shape
+            groups.append(len(branch) + np.repeat(np.arange(n_y), n_w))
+            branch.extend([a] * n_y)
+        return PieceSet(
+            k=np.concatenate([p.reshape(-1, n_d) for p in pieces]),
+            group=np.concatenate(groups).astype(np.int64),
+            branch=np.array(branch, dtype=np.int64),
+            n_a=len(pieces))
+
+    @property
+    def n_d(self) -> int:
+        return self.k.shape[1]
+
+    @property
+    def n_groups(self) -> int:
+        return self.branch.shape[0]
+
+    @property
+    def defender_rows(self) -> int:
+        """Constraint rows of ``convex_game_lp``."""
+        return self.k.shape[0] + self.n_a + 1
+
+    @property
+    def attacker_rows(self) -> int:
+        """Constraint rows of ``convex_game_attacker_lp``."""
+        return 1 + self.n_groups + self.n_d
+
+
+def binding_pieces(p: np.ndarray) -> np.ndarray:
+    """Mask over (y, w) of the pieces of one branch that can bind.
+
+    Within each y, piece w is dropped when another piece v covers it:
+    k[y, v] >= k[y, w] componentwise, and either some component is
+    larger or v is the earlier of two equal pieces.  For delta >= 0 a
+    covered piece never exceeds the one covering it, so dropping it
+    leaves max_w unchanged whatever the signs of the entries.  Covering
+    is a strict order, so every covered piece lies below a kept one and
+    each y keeps at least one piece.
+    """
+    n_w = p.shape[1]
+    ge = (p[:, :, None, :] >= p[:, None, :, :]).all(axis=3)   # [y, v, w]: k_v >= k_w
+    earlier = np.arange(n_w)[:, None] < np.arange(n_w)[None, :]
+    covers = ge & (~ge.transpose(0, 2, 1) | earlier)
+    return ~covers.any(axis=1)
+
+
+def prune_pieces(pieces) -> PieceSet:
+    """The pieces that can bind (see ``binding_pieces``), as a PieceSet."""
+    arrays = [np.asarray(p, dtype=float) for p in pieces]
+    full = PieceSet.from_arrays(arrays)
+    keep = np.concatenate([binding_pieces(p).reshape(-1) for p in arrays])
+    return PieceSet(k=full.k[keep], group=full.group[keep], branch=full.branch,
+                    n_a=full.n_a)
+
+
 def convex_game_lp(pieces) -> tuple[LinearProgram, int, list]:
     """Epigraph LP for min_delta max_a of piecewise-linear branch payoffs.
 
     ``pieces`` is a sequence over column-player actions; pieces[a] is an
     array of shape (n_y_a, n_w_a, n_d): the linear coefficients over
-    delta of piece (y, w) of branch a.  Returns the LP, the number of
-    delta variables, and the index ranges of the per-a rows (for duals).
+    delta of piece (y, w) of branch a.  A PieceSet is accepted as well.
+    Returns the LP, the number of delta variables, and the indices of
+    the per-a rows (for duals).
     """
-    pieces = [np.asarray(p, dtype=float) for p in pieces]
-    n_d = pieces[0].shape[2]
-    n_a = len(pieces)
-    t_offsets = []
-    n_t = 0
-    for p in pieces:
-        if p.ndim != 3 or p.shape[2] != n_d:
-            raise ValueError("piece arrays must have shape (n_y, n_w, n_d)")
-        t_offsets.append(n_t)
-        n_t += p.shape[0]
+    ps = PieceSet.from_arrays(pieces)
+    n_d, n_t, n_p = ps.n_d, ps.n_groups, ps.k.shape[0]
     nvar = n_d + n_t + 1  # delta, t, z
     z = nvar - 1
     c = np.zeros(nvar)
     c[z] = 1.0
-    rows = []
-    for a, p in enumerate(pieces):
-        n_y, n_w, _ = p.shape
-        for y in range(n_y):
-            t_idx = n_d + t_offsets[a] + y
-            for w in range(n_w):
-                row = np.zeros(nvar)
-                row[:n_d] = p[y, w]
-                row[t_idx] = -1.0
-                rows.append((row, LESS, 0.0))
-    branch_row_start = len(rows)
-    for a, p in enumerate(pieces):
-        row = np.zeros(nvar)
-        row[n_d + t_offsets[a]: n_d + t_offsets[a] + p.shape[0]] = 1.0
-        row[z] = -1.0
-        rows.append((row, LESS, 0.0))
+    piece_rows = np.zeros((n_p, nvar))
+    piece_rows[:, :n_d] = ps.k
+    piece_rows[np.arange(n_p), n_d + ps.group] = -1.0
+    per_a_rows = np.zeros((ps.n_a, nvar))
+    per_a_rows[ps.branch, n_d + np.arange(n_t)] = 1.0
+    per_a_rows[:, z] = -1.0
     srow = np.zeros(nvar)
     srow[:n_d] = 1.0
+    rows = [(row, LESS, 0.0) for row in piece_rows]
+    rows += [(row, LESS, 0.0) for row in per_a_rows]
     rows.append((srow, EQUAL, 1.0))
-    free = list(range(n_d, nvar))
-    lp = LinearProgram.build(c, rows, sense="min", free=free)
-    branch_rows = list(range(branch_row_start, branch_row_start + n_a))
-    return lp, n_d, branch_rows
+    lp = LinearProgram.build(c, rows, sense="min", free=range(n_d, nvar))
+    return lp, n_d, list(range(n_p, n_p + ps.n_a))
+
+
+def convex_game_attacker_lp(pieces) -> tuple[LinearProgram, int]:
+    """Maximin LP of the column player for the convex game.
+
+    Variables: alpha (per a), beta (per piece), gamma.  max gamma s.t.
+    sum alpha = 1; per (a, y): sum_w beta = alpha_a; per d:
+    gamma <= sum beta . k.  It is the dual of ``convex_game_lp``: the
+    duals of its per-d rows, the last ``n_d`` rows, are the row player's
+    delta.  Accepts the same inputs as ``convex_game_lp``; its row count
+    does not depend on the number of pieces, which only add columns.
+    """
+    ps = PieceSet.from_arrays(pieces)
+    n_a, n_p = ps.n_a, ps.k.shape[0]
+    nvar = n_a + n_p + 1
+    gamma = nvar - 1
+    c = np.zeros(nvar)
+    c[gamma] = 1.0
+    srow = np.zeros(nvar)
+    srow[:n_a] = 1.0
+    group_rows = np.zeros((ps.n_groups, nvar))
+    group_rows[ps.group, n_a + np.arange(n_p)] = 1.0
+    group_rows[np.arange(ps.n_groups), ps.branch] = -1.0
+    d_rows = np.zeros((ps.n_d, nvar))
+    d_rows[:, gamma] = 1.0
+    d_rows[:, n_a:gamma] = -ps.k.T
+    rows = [(srow, EQUAL, 1.0)]
+    rows += [(row, EQUAL, 0.0) for row in group_rows]
+    rows += [(row, LESS, 0.0) for row in d_rows]
+    return LinearProgram.build(c, rows, sense="max", free=[gamma]), n_a
 
 
 def solve_convex_linear_game(pieces) -> ConvexGameSolution:
-    """Solve min_delta max_a sum_y max_w (pieces[a][y, w] . delta)."""
-    lp, n_d, branch_rows = convex_game_lp(pieces)
-    sol = require_optimal(lp_solve(lp), "convex game LP")
-    delta = np.clip(sol.x[:n_d], 0.0, None)
-    delta /= delta.sum()
-    alpha = np.clip(-sol.duals[branch_rows], 0.0, None)
-    total = alpha.sum()
-    n_a = len(branch_rows)
-    alpha = alpha / total if total > 0 else np.full(n_a, 1.0 / n_a)
-    value = float(sol.objective)
+    """Solve min_delta max_a sum_y max_w (pieces[a][y, w] . delta).
+
+    Pieces that cannot bind are pruned first; then whichever of the two
+    dual formulations has fewer rows is solved, the defender epigraph
+    LP on a tie.
+    """
+    arrays = [np.asarray(p, dtype=float) for p in pieces]
+    kept = prune_pieces(arrays)
+    if kept.attacker_rows < kept.defender_rows:
+        formulation = "attacker"
+        lp, n_a = convex_game_attacker_lp(kept)
+        sol = require_optimal(lp_solve(lp), "convex game LP")
+        alpha = _distribution(sol.x[:n_a])
+        delta = _distribution(sol.duals[len(lp.rows) - kept.n_d:])
+    else:
+        formulation = "defender"
+        lp, n_d, branch_rows = convex_game_lp(kept)
+        sol = require_optimal(lp_solve(lp), "convex game LP")
+        delta = _distribution(sol.x[:n_d])
+        alpha = _distribution(-sol.duals[branch_rows])
     return ConvexGameSolution(
-        value=value, delta=delta, alpha=alpha,
+        value=float(sol.objective), delta=delta, alpha=alpha,
         diagnostics={
             "gap": sol.gap, "iterations": sol.iterations,
             "lp_rows": len(lp.rows), "lp_cols": lp.n_vars,
-            "kernel": sol.kernel,
+            "kernel": sol.kernel, "formulation": formulation,
+            "pieces_total": sum(p.shape[0] * p.shape[1] for p in arrays),
+            "pieces_kept": int(kept.k.shape[0]),
         },
     )
 
@@ -250,46 +374,6 @@ def solve_convex_linear_game(pieces) -> ConvexGameSolution:
 def branch_value(pieces_a: np.ndarray, delta: np.ndarray) -> float:
     """Evaluate one branch payoff sum_y max_w (k[y, w] . delta)."""
     return float(np.einsum("ywd,d->yw", pieces_a, delta).max(axis=1).sum())
-
-
-def convex_game_attacker_lp(pieces) -> tuple[LinearProgram, int]:
-    """Explicit maximin LP of the column player for the convex game.
-
-    Variables: alpha (per a), beta (per piece), gamma.  max gamma s.t.
-    sum alpha = 1; per (a, y): sum_w beta = alpha_a; per d:
-    gamma <= sum beta . k.  Used for cross-checks and uniqueness probes.
-    """
-    pieces = [np.asarray(p, dtype=float) for p in pieces]
-    n_a = len(pieces)
-    n_d = pieces[0].shape[2]
-    b_offsets = []
-    n_b = 0
-    for p in pieces:
-        b_offsets.append(n_b)
-        n_b += p.shape[0] * p.shape[1]
-    nvar = n_a + n_b + 1
-    gamma = nvar - 1
-    c = np.zeros(nvar)
-    c[gamma] = 1.0
-    rows = []
-    srow = np.zeros(nvar)
-    srow[:n_a] = 1.0
-    rows.append((srow, EQUAL, 1.0))
-    for a, p in enumerate(pieces):
-        n_y, n_w, _ = p.shape
-        for y in range(n_y):
-            row = np.zeros(nvar)
-            row[n_a + b_offsets[a] + y * n_w: n_a + b_offsets[a] + (y + 1) * n_w] = 1.0
-            row[a] = -1.0
-            rows.append((row, EQUAL, 0.0))
-    for d in range(n_d):
-        row = np.zeros(nvar)
-        row[gamma] = 1.0
-        for a, p in enumerate(pieces):
-            row[n_a + b_offsets[a]: n_a + b_offsets[a] + p.shape[0] * p.shape[1]] = \
-                -p[:, :, d].reshape(-1)
-        rows.append((row, LESS, 0.0))
-    return LinearProgram.build(c, rows, sense="max", free=[gamma]), n_a
 
 
 def optimal_coordinate_range(lp: LinearProgram, optimum: float, coord: int,

@@ -51,6 +51,8 @@ LESS = "<="
 EQUAL = "="
 GREATER = ">="
 
+_SLACK_SIGN = {LESS: 1.0, GREATER: -1.0, EQUAL: 0.0}
+
 
 @dataclass(frozen=True)
 class LinearProgram:
@@ -174,6 +176,47 @@ def _run_phase(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray,
         tableau = fresh
 
 
+def _row_arrays(lp: LinearProgram):
+    """The rows of ``lp`` as arrays: coefficients (m x n), right-hand
+    sides, and each relation coded as the coefficient of its slack
+    (+1 for <=, -1 for >=, 0 for =)."""
+    m = len(lp.rows)
+    A = np.array([coeffs for coeffs, _, _ in lp.rows], dtype=float).reshape(m, lp.n_vars)
+    b = np.array([rhs for _, _, rhs in lp.rows], dtype=float)
+    slack = np.array([_SLACK_SIGN[rel] for _, rel, _ in lp.rows], dtype=float)
+    return A, b, slack
+
+
+def _standard_form(A: np.ndarray, b: np.ndarray, slack: np.ndarray, free: np.ndarray):
+    """Equilibrate and sign-normalise the rows, then expand the columns.
+
+    Each row is scaled to unit infinity-norm and negated where its
+    right-hand side is negative; the negation flips the slack sign with
+    it.  Columns are the original variables, then the negative halves
+    of the free ones, then one slack per inequality row in row order.
+    Returns (A_std, b_std, slack_std, flips, col_index, col_sign): column
+    k of the main block is col_sign[k] times original column
+    col_index[k], and flips maps standard-form row duals back to the
+    original rows.
+    """
+    n = A.shape[1]
+    scale = np.abs(A).max(axis=1, initial=0.0)
+    scale[scale <= 0.0] = 1.0
+    b_std = b / scale
+    flip = np.where(b_std < 0, -1.0, 1.0)
+    b_std *= flip
+    slack_std = slack * flip
+
+    col_index = np.concatenate([np.arange(n), np.flatnonzero(free)])
+    col_sign = np.concatenate([np.ones(n), np.full(int(free.sum()), -1.0)])
+    n_main = col_index.shape[0]
+    slack_rows = np.flatnonzero(slack_std != 0.0)
+    A_std = np.zeros((A.shape[0], n_main + slack_rows.shape[0]))
+    A_std[:, :n_main] = (A / scale[:, None] * flip[:, None])[:, col_index] * col_sign
+    A_std[slack_rows, n_main + np.arange(slack_rows.shape[0])] = slack_std[slack_rows]
+    return A_std, b_std, slack_std, flip / scale, col_index, col_sign
+
+
 def lp_solve(lp: LinearProgram, max_iter: int | None = None) -> LPSolution:
     """Solve ``lp`` and return primal values, row duals and the duality gap.
 
@@ -186,68 +229,24 @@ def lp_solve(lp: LinearProgram, max_iter: int | None = None) -> LPSolution:
     c0 = lp.c if minimize else -lp.c
     free = lp.free if lp.free is not None else np.zeros(n, dtype=bool)
 
-    # equilibrate rows to unit infinity-norm and sign-normalise to b >= 0,
-    # remembering scale and flip for mapping the duals back
-    A_list, b_list, rels, flips = [], [], [], []
-    for coeffs, rel, rhs in lp.rows:
-        scale = float(np.abs(coeffs).max()) if coeffs.size else 0.0
-        if scale <= 0.0:
-            scale = 1.0
-        coeffs, rhs = coeffs / scale, rhs / scale
-        if rhs < 0:
-            coeffs, rhs = -coeffs, -rhs
-            rel = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}[rel]
-            flips.append(-1.0 / scale)
-        else:
-            flips.append(1.0 / scale)
-        A_list.append(coeffs)
-        b_list.append(rhs)
-        rels.append(rel)
-    m = len(A_list)
-    flips_arr = np.array(flips)
+    A_user, b_user, slack_user = _row_arrays(lp)
+    A_std, b_std, slack_std, flips_arr, col_index, col_sign = _standard_form(
+        A_user, b_user, slack_user, free)
+    m, n_std = A_std.shape
+    n_main = col_index.shape[0]
+    slack_rows = np.flatnonzero(slack_std != 0.0)
 
-    # expand to standard form columns: originals (free ones split), slacks
-    col_var = []  # (original index, sign)
-    for j in range(n):
-        col_var.append((j, 1.0))
-    for j in range(n):
-        if free[j]:
-            col_var.append((j, -1.0))
-    n_main = len(col_var)
-    n_slack = sum(1 for r in rels if r != EQUAL)
-    n_std = n_main + n_slack
-
-    A_std = np.zeros((m, n_std))
-    b_std = np.array(b_list, dtype=float)
-    for i, coeffs in enumerate(A_list):
-        for k, (j, sign) in enumerate(col_var):
-            A_std[i, k] = sign * coeffs[j]
-    slack_of_row = {}
-    k = n_main
-    for i, rel in enumerate(rels):
-        if rel == LESS:
-            A_std[i, k] = 1.0
-            slack_of_row[i] = k
-            k += 1
-        elif rel == GREATER:
-            A_std[i, k] = -1.0
-            slack_of_row[i] = k
-            k += 1
-
-    need_artificial = [i for i, rel in enumerate(rels) if rel != LESS]
-    n_art = len(need_artificial)
+    need_artificial = np.flatnonzero(slack_std != 1.0)
+    n_art = need_artificial.shape[0]
     total = n_std + n_art
 
     tableau = np.zeros((m + 1, total + 1))
     tableau[:m, :n_std] = A_std
     tableau[:m, total] = b_std
     basis = np.empty(m, dtype=np.int64)
-    for i, rel in enumerate(rels):
-        if rel == LESS:
-            basis[i] = slack_of_row[i]
-    for a_idx, i in enumerate(need_artificial):
-        tableau[i, n_std + a_idx] = 1.0
-        basis[i] = n_std + a_idx
+    basis[slack_rows] = np.arange(n_main, n_std)
+    basis[need_artificial] = np.arange(n_std, total)
+    tableau[need_artificial, basis[need_artificial]] = 1.0
 
     iterations = 0
     if max_iter is None:
@@ -277,15 +276,11 @@ def lp_solve(lp: LinearProgram, max_iter: int | None = None) -> LPSolution:
         drop = []
         for i in range(m):
             if basis[i] >= n_std:
-                pivot_col = None
-                for j in range(n_std):
-                    if abs(tableau[i, j]) > PIVOT_TOL:
-                        pivot_col = j
-                        break
-                if pivot_col is None:
-                    drop.append(i)
+                nonzero = np.flatnonzero(np.abs(tableau[i, :n_std]) > PIVOT_TOL)
+                if nonzero.size:
+                    _pivot(tableau, basis, i, int(nonzero[0]))
                 else:
-                    _pivot(tableau, basis, i, pivot_col)
+                    drop.append(i)
         if drop:
             keep = [i for i in range(m) if i not in drop]
             basis = basis[keep]
@@ -296,8 +291,7 @@ def lp_solve(lp: LinearProgram, max_iter: int | None = None) -> LPSolution:
 
     # phase 2 on the artificial-free columns
     c_std = np.zeros(n_std)
-    for k2, (j, sign) in enumerate(col_var):
-        c_std[k2] = sign * c0[j]
+    c_std[:n_main] = c0[col_index] * col_sign
     status, tableau, y_std, its = _run_phase(
         A_std, b_std, c_std, basis, n_std, max_iter - iterations)
     iterations += its
@@ -308,29 +302,21 @@ def lp_solve(lp: LinearProgram, max_iter: int | None = None) -> LPSolution:
 
     x_std = np.zeros(n_std)
     x_std[basis] = tableau[:m, n_std]
-    x = np.zeros(n)
-    for k2, (j, sign) in enumerate(col_var):
-        x[j] += sign * x_std[k2]
+    x = x_std[:n].copy()
+    x[col_index[n:]] -= x_std[n:n_main]
 
-    y_full = np.zeros(len(A_list))
+    y_full = np.zeros(len(lp.rows))
     y_full[keep_rows] = y_std
     duals0 = flips_arr * y_full
 
-    b_user = np.array([rhs for _, _, rhs in lp.rows], dtype=float)
     primal0 = float(c0 @ x)
     dual0 = float(duals0 @ b_user)
     gap = abs(primal0 - dual0)
 
-    residual = 0.0
-    for (coeffs, rel, rhs) in lp.rows:
-        lhs = float(coeffs @ x)
-        if rel == LESS:
-            residual = max(residual, lhs - rhs)
-        elif rel == GREATER:
-            residual = max(residual, rhs - lhs)
-        else:
-            residual = max(residual, abs(lhs - rhs))
-    residual = max(residual, float(-(x[~free]).min(initial=0.0)))
+    excess = A_user @ x - b_user
+    violation = np.where(slack_user == 0.0, np.abs(excess), slack_user * excess)
+    residual = max(0.0, float(violation.max(initial=0.0)),
+                   float(-(x[~free]).min(initial=0.0)))
 
     objective = primal0 if minimize else -primal0
     duals = duals0 if minimize else -duals0

@@ -178,6 +178,18 @@ def test_pwd_analyze(capsys, tmp_path):
     assert len(lines) == 7
 
 
+def test_pwd_analyze_builds_payoff_table_only_on_request(capsys, monkeypatch):
+    import leakgames.cli as cli
+
+    def no_table(game):
+        raise AssertionError("payoff table built without --table")
+
+    monkeypatch.setattr(cli, "payoff_matrix", no_table)
+    code, out, _ = run(capsys, "pwd", "analyze", "--bits", "3", "--prior", "pihat")
+    assert code == 0
+    assert json.loads(out)["value"] == pytest.approx(0.6573, abs=2e-3)
+
+
 def test_pwd_analyze_prior_a(capsys):
     code, out, _ = run(capsys, "pwd", "analyze", "--bits", "3", "--prior", "prior_a")
     report = json.loads(out)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import channel, demo_game, random_channel
+from conftest import DEMO_CHANNELS, channel, demo_game, random_channel
 from leakgames import jsonio
+from leakgames.games import LeakageGame
 from leakgames.labels import tag
 from leakgames.matrix import LabeledMatrix
 from leakgames.vuln import GainFunction, Prior, VulnMeasure
@@ -70,6 +71,35 @@ def test_game_round_trip(tmp_path):
         for a in g.attackers:
             assert np.max(np.abs(back.channel(d, a).data
                                  - g.channel(d, a).data)) <= 1e-15
+
+
+def test_game_round_trip_with_bar_in_labels(tmp_path):
+    # "|" separates the defender and attacker of a channel key, so it is
+    # escaped inside labels; "d|1" must not read back as "d" and "1|a"
+    defenders = ("d|1", ("x|", "|"))
+    attackers = ("a", "b|")
+    chans = {(d, a): channel(("0", "1"), ("0", "1"), v)
+             for (d, a), v in zip([(d, a) for d in defenders for a in attackers],
+                                  DEMO_CHANNELS.values())}
+    g = LeakageGame(defenders, attackers, chans, Prior.uniform(("0", "1")),
+                    VulnMeasure.bayes())
+    obj = jsonio.game_to_json(g)
+    assert "d\\|1|a" in obj["channels"]
+    path = tmp_path / "game.json"
+    jsonio.dump(obj, path)
+    back = jsonio.game_from_json(jsonio.load(path))
+    assert back.defenders == g.defenders
+    assert back.attackers == g.attackers
+    for d in defenders:
+        for a in attackers:
+            assert np.array_equal(back.channel(d, a).data, g.channel(d, a).data)
+
+
+def test_game_channel_key_must_be_a_pair():
+    obj = jsonio.game_to_json(demo_game())
+    obj["channels"]["0|1|0"] = obj["channels"].pop("0|0")
+    with pytest.raises(jsonio.FormatError):
+        jsonio.game_from_json(obj)
 
 
 def test_dump_is_deterministic(tmp_path):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from leakgames.labels import format_label, label_key, parse_label, tag
+from leakgames.labels import format_label, label_key, parse_label, parse_label_pair, tag
 
 atoms = st.text(min_size=0, max_size=8)
 labels = st.recursive(atoms, lambda kids: st.tuples(kids, kids), max_leaves=6)
@@ -20,6 +20,24 @@ def test_render_escapes_separator():
     assert format_label(("y", "1")) == "y@1"
     assert format_label((("y", "1"), "2")) == "y@1@2"
     assert format_label(("y", ("1", "2"))) == "y@(1@2)"
+
+
+def test_render_escapes_pair_separator():
+    assert format_label("d|1") == "d\\|1"
+    assert parse_label("d\\|1") == "d|1"
+    assert parse_label_pair("d\\|1|a") == ("d|1", "a")
+    assert parse_label_pair("y@(1@2)|a@b") == (("y", ("1", "2")), ("a", "b"))
+    for bad in ("d|1|a", "d", "d|(a", "a|b)"):
+        with pytest.raises(ValueError):
+            parse_label_pair(bad)
+    with pytest.raises(ValueError):
+        parse_label("d|1")
+
+
+@given(labels, labels)
+def test_pair_round_trip(left, right):
+    text = format_label(left) + "|" + format_label(right)
+    assert parse_label_pair(text) == (left, right)
 
 
 def test_parse_left_associative():

@@ -1,17 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from leakgames.games import hidden_branch_pieces, solve
 from leakgames.minimax import (
+    binding_pieces,
     branch_value,
     closed_form_2x2,
     convex_game_attacker_lp,
+    convex_game_lp,
     convex_game_unique,
     fictitious_play,
     matrix_game_unique,
+    prune_pieces,
     solve_convex_linear_game,
     solve_matrix_game,
 )
+from leakgames.pwdcheck import build_game, secret_labels
 from leakgames.simplex import lp_solve
+from leakgames.vuln import Prior
 
 DEMO_PAYOFF = np.array([[0.5, 1.0], [1.0, 2 / 3]])
 
@@ -183,3 +191,163 @@ def test_matrix_game_uniqueness_probe():
     u = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
     v = solve_matrix_game(u).value
     assert not matrix_game_unique(u, v)
+
+
+def test_pruning_drops_duplicates_and_dominated_pieces():
+    p = np.array([[[1.0, 2.0], [1.0, 2.0], [0.0, 1.0], [2.0, 0.0]]])
+    assert binding_pieces(p).tolist() == [[True, False, False, True]]
+    # a dominating piece later in w order still wins
+    p = np.array([[[0.0, 1.0], [1.0, 2.0]]])
+    assert binding_pieces(p).tolist() == [[False, True]]
+
+
+def test_pruning_keeps_one_of_equal_pieces_per_group():
+    p = np.tile(np.array([0.3, 0.0, 0.7]), (2, 4, 1))
+    assert binding_pieces(p).tolist() == [[True, False, False, False]] * 2
+    assert binding_pieces(np.zeros((3, 2, 2))).sum(axis=1).tolist() == [1, 1, 1]
+
+
+def test_pruning_with_negative_gains():
+    p = np.array([[[-1.0, -2.0], [-1.0, -3.0], [-2.0, 0.0]],
+                  [[0.0, 0.0], [-1.0, -1.0], [1.0, -1.0]]])
+    assert binding_pieces(p).tolist() == [[True, False, True], [True, False, True]]
+
+
+def test_prune_pieces_keeps_every_branch_value():
+    rng = np.random.default_rng(30)
+    for _ in range(20):
+        pieces = [rng.integers(-2, 3, size=(int(rng.integers(1, 4)), int(rng.integers(1, 5)), 3))
+                  .astype(float) for _ in range(int(rng.integers(1, 4)))]
+        kept = prune_pieces(pieces)
+        assert kept.n_a == len(pieces)
+        assert kept.n_groups == sum(p.shape[0] for p in pieces)
+        assert set(kept.group.tolist()) == set(range(kept.n_groups))
+        for delta in rng.dirichlet(np.ones(3), size=5):
+            group_max = np.full(kept.n_groups, -np.inf)
+            np.maximum.at(group_max, kept.group, kept.k @ delta)
+            pruned = np.bincount(kept.branch, weights=group_max, minlength=kept.n_a)
+            full = [branch_value(p, delta) for p in pieces]
+            assert np.allclose(pruned, full, rtol=0, atol=1e-12)
+
+
+def test_formulation_follows_row_counts():
+    # one piece per group: the defender LP (4 + 2 + 1 rows) beats the
+    # attacker LP (1 + 4 + 5 rows)
+    rng = np.random.default_rng(31)
+    narrow = [rng.uniform(size=(2, 1, 5)) for _ in range(2)]
+    s = solve_convex_linear_game(narrow)
+    assert s.diagnostics["formulation"] == "defender"
+    assert s.diagnostics["lp_rows"] == 7
+    # many binding pieces per group and few delta coordinates: attacker LP
+    wide = [rng.uniform(size=(2, 6, 2)) for _ in range(3)]
+    s = solve_convex_linear_game(wide)
+    kept = s.diagnostics["pieces_kept"]
+    assert s.diagnostics["pieces_total"] == 36
+    assert s.diagnostics["formulation"] == (
+        "attacker" if 1 + 6 + 2 < kept + 3 + 1 else "defender")
+
+
+GAIN_VALUES = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def convex_games(draw):
+    """Random convex games whose pieces are drawn from a small pool per
+    branch, so that duplicated and dominated pieces are common."""
+    n_d = draw(st.integers(1, 4))
+    n_a = draw(st.integers(1, 3))
+    pieces = []
+    for _ in range(n_a):
+        n_y, n_w = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+        n_pool = draw(st.integers(1, n_y * n_w))
+        pool = np.array(draw(st.lists(GAIN_VALUES, min_size=n_pool * n_d,
+                                      max_size=n_pool * n_d))).reshape(n_pool, n_d)
+        pick = draw(st.lists(st.integers(0, n_pool - 1), min_size=n_y * n_w,
+                             max_size=n_y * n_w))
+        pieces.append(pool[pick].reshape(n_y, n_w, n_d))
+    return pieces
+
+
+@settings(max_examples=150, deadline=None)
+@given(convex_games())
+def test_pruned_chosen_formulation_matches_unpruned_defender_lp(pieces):
+    s = solve_convex_linear_game(pieces)
+    lp, _, _ = convex_game_lp(pieces)
+    reference = lp_solve(lp)
+    assert reference.optimal
+    assert s.value == pytest.approx(reference.objective, abs=1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(convex_games())
+def test_convex_game_strategies_certify_the_value(pieces):
+    s = solve_convex_linear_game(pieces)
+    assert s.delta.min() >= 0.0 and s.delta.sum() == pytest.approx(1.0, abs=1e-12)
+    assert s.alpha.min() >= 0.0 and s.alpha.sum() == pytest.approx(1.0, abs=1e-12)
+    branches = np.array([branch_value(p, s.delta) for p in pieces])
+    assert branches.max() == pytest.approx(s.value, abs=1e-9)
+    # the column player mixes over best-responding branches only
+    assert s.alpha @ branches == pytest.approx(s.value, abs=1e-9)
+
+
+def test_checker_solutions_certify_themselves():
+    for n in (2, 3):
+        game = build_game(n, Prior.uniform(secret_labels(n)))
+        pieces = [hidden_branch_pieces(game, a) for a in game.attackers]
+        sol = solve(game, "IV")
+        delta = np.array([sol.defender["dist"][d] for d in game.defenders])
+        alpha = np.array([sol.attacker["dist"][a] for a in game.attackers])
+        assert max(branch_value(p, delta) for p in pieces) == pytest.approx(sol.value, abs=1e-9)
+        assert alpha.min() >= 0.0 and alpha.sum() == pytest.approx(1.0, abs=1e-12)
+        assert sol.recompute_value(game) == pytest.approx(sol.value, abs=1e-9)
+    assert sol.diagnostics["formulation"] == "attacker"
+
+
+def _highs_convex_game_value(pieces):
+    """Defender epigraph LP of the unpruned pieces, assembled here and
+    solved by scipy's HiGHS."""
+    from scipy.optimize import linprog
+
+    n_d = pieces[0].shape[2]
+    n_t = sum(p.shape[0] for p in pieces)
+    nvar = n_d + n_t + 1
+    a_ub, t = [], 0
+    for p in pieces:
+        for y in range(p.shape[0]):
+            rows = np.zeros((p.shape[1], nvar))
+            rows[:, :n_d] = p[y]
+            rows[:, n_d + t] = -1.0
+            a_ub.append(rows)
+            t += 1
+    t = 0
+    for p in pieces:
+        row = np.zeros((1, nvar))
+        row[0, n_d + t:n_d + t + p.shape[0]] = 1.0
+        row[0, -1] = -1.0
+        a_ub.append(row)
+        t += p.shape[0]
+    a_ub = np.vstack(a_ub)
+    a_eq = np.zeros((1, nvar))
+    a_eq[0, :n_d] = 1.0
+    c = np.zeros(nvar)
+    c[-1] = 1.0
+    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(len(a_ub)), A_eq=a_eq, b_eq=[1.0],
+                  bounds=[(0, None)] * n_d + [(None, None)] * (n_t + 1), method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+def test_4bit_checker_random_priors_match_highs():
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(2024)
+    labels = secret_labels(4)
+    for weights in rng.dirichlet(np.ones(len(labels)), size=3):
+        game = build_game(4, Prior(dict(zip(labels, weights))))
+        pieces = [hidden_branch_pieces(game, a) for a in game.attackers]
+        sol = solve(game, "IV")
+        assert sol.value == pytest.approx(_highs_convex_game_value(pieces), abs=1e-9)
+        delta = np.array([sol.defender["dist"][d] for d in game.defenders])
+        assert max(branch_value(p, delta) for p in pieces) == pytest.approx(sol.value, abs=1e-9)
+        assert sol.recompute_value(game) == pytest.approx(sol.value, abs=1e-9)
+        assert sol.diagnostics["formulation"] == "attacker"
+        assert sol.diagnostics["pieces_total"] == 1280

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from leakgames import _kernel_py
-from leakgames.simplex import KERNEL_NAME, LinearProgram, lp_solve
+from leakgames.simplex import KERNEL_NAME, LinearProgram, _row_arrays, _standard_form, lp_solve
 
 try:
     from leakgames import _kernel as _kernel_c
@@ -91,6 +91,71 @@ def test_gap_and_feasibility_invariants_random():
             assert s.gap <= 1e-8
             assert s.max_residual <= 1e-8
     assert optimal > 50
+
+
+def _loop_standard_form(program):
+    """Entry-by-entry reference for the standard-form expansion."""
+    n = program.n_vars
+    col_var = [(j, 1.0) for j in range(n)] + [(j, -1.0) for j in range(n) if program.free[j]]
+    rows, rhs, rels, flips = [], [], [], []
+    for coeffs, rel, b in program.rows:
+        scale = float(np.abs(coeffs).max()) if coeffs.size else 0.0
+        if scale <= 0.0:
+            scale = 1.0
+        coeffs, b = coeffs / scale, b / scale
+        if b < 0:
+            coeffs, b = -coeffs, -b
+            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
+            flips.append(-1.0 / scale)
+        else:
+            flips.append(1.0 / scale)
+        rows.append(coeffs)
+        rhs.append(b)
+        rels.append(rel)
+    n_slack = sum(rel != "=" for rel in rels)
+    A_std = np.zeros((len(rows), len(col_var) + n_slack))
+    for i, coeffs in enumerate(rows):
+        for k, (j, sign) in enumerate(col_var):
+            A_std[i, k] = sign * coeffs[j]
+    k = len(col_var)
+    for i, rel in enumerate(rels):
+        if rel != "=":
+            A_std[i, k] = 1.0 if rel == "<=" else -1.0
+            k += 1
+    return A_std, np.array(rhs), np.array(flips)
+
+
+def _loop_residual(program, x):
+    residual = 0.0
+    for coeffs, rel, rhs in program.rows:
+        lhs = float(coeffs @ x)
+        if rel == "<=":
+            residual = max(residual, lhs - rhs)
+        elif rel == ">=":
+            residual = max(residual, rhs - lhs)
+        else:
+            residual = max(residual, abs(lhs - rhs))
+    return max(residual, float(-(x[~program.free]).min(initial=0.0)))
+
+
+def test_standard_form_matches_entrywise_reference():
+    rng = np.random.default_rng(14)
+    for trial in range(200):
+        n = int(rng.integers(1, 7))
+        m = int(rng.integers(1, 7))
+        rows = [(rng.integers(-3, 4, size=n) * rng.uniform(0.1, 3),
+                 ["<=", "=", ">="][int(rng.integers(3))], float(rng.integers(-3, 4)))
+                for _ in range(m)]
+        free = [j for j in range(n) if rng.uniform() < 0.3]
+        program = lp(rng.normal(size=n), rows, sense=["min", "max"][trial % 2], free=free)
+        A_std, b_std, _, flips, _, _ = _standard_form(*_row_arrays(program), program.free)
+        ref_A, ref_b, ref_flips = _loop_standard_form(program)
+        assert np.array_equal(A_std, ref_A)
+        assert np.array_equal(b_std, ref_b)
+        assert np.array_equal(flips, ref_flips)
+        s = lp_solve(program)
+        if s.optimal:
+            assert s.max_residual == pytest.approx(_loop_residual(program, s.x), abs=1e-12)
 
 
 def test_deterministic_repeat():
