@@ -14,7 +14,12 @@ import numpy as np
 import leakgames.simplex as simplex
 from leakgames import _kernel_py
 from leakgames.games import hidden_branch_pieces
-from leakgames.minimax import convex_game_lp, matrix_game_lp
+from leakgames.minimax import (
+    convex_game_attacker_lp,
+    convex_game_lp,
+    matrix_game_lp,
+    prune_pieces,
+)
 from leakgames.pwdcheck import build_game, bundled_prior, secret_labels
 from leakgames.simplex import lp_solve
 from leakgames.vuln import Prior
@@ -41,10 +46,24 @@ def matrix_game_batch(count=40, size=12, seed=1):
     return [matrix_game_lp(rng.uniform(size=(size, size))) for _ in range(count)]
 
 
-def checker_epigraph_lp(n, prior):
+def checker_pieces(n, prior):
     game = build_game(n, prior)
-    pieces = [hidden_branch_pieces(game, a) for a in game.attackers]
-    lp, _, _ = convex_game_lp(pieces)
+    return [hidden_branch_pieces(game, a) for a in game.attackers]
+
+
+def checker_epigraph_lp(n, prior):
+    """The unpruned defender epigraph LP: one row per piece."""
+    lp, _, _ = convex_game_lp(checker_pieces(n, prior))
+    return lp
+
+
+def checker_attacker_lp(n, prior):
+    """The LP solve_convex_linear_game solves for the checker game: the
+    column player's LP over the pruned pieces, which has fewer rows than
+    the pruned epigraph LP."""
+    kept = prune_pieces(checker_pieces(n, prior))
+    assert kept.attacker_rows < kept.defender_rows
+    lp, _ = convex_game_attacker_lp(kept)
     return lp
 
 
@@ -53,6 +72,8 @@ CASES = [
     ("matrix games (40 x 12x12)", lambda: matrix_game_batch()),
     ("3-bit checker epigraph LP", lambda: [checker_epigraph_lp(3, bundled_prior("pihat"))]),
     ("4-bit checker epigraph LP", lambda: [checker_epigraph_lp(
+        4, Prior.uniform(secret_labels(4)))]),
+    ("4-bit checker LP as solved (pruned)", lambda: [checker_attacker_lp(
         4, Prior.uniform(secret_labels(4)))]),
 ]
 

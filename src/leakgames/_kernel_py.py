@@ -1,9 +1,12 @@
 """Pure numpy simplex pivot loop.
 
-Mirrors leakgames._kernel (the compiled variant) exactly: same entering
-rule, same ratio test and tie breaks, same order of floating point
-operations in the row elimination, so both kernels follow identical
-pivot paths.
+Mirrors leakgames._kernel (the compiled variant): same entering rule,
+same ratio test and tie breaks, same floating point operations in the
+row elimination, so both kernels follow identical pivot paths.  The one
+difference: the compiled kernel updates every row, while this one skips
+the rows whose elimination factor is zero.  Subtracting 0 * pivot row
+leaves an entry unchanged except, at most, for the sign of a zero,
+which no comparison in the loop can see.
 
 Pivot selection is Dantzig's most-negative-reduced-cost rule with the
 ratio-test tie broken towards the numerically largest pivot element.
@@ -43,7 +46,6 @@ def run_simplex(tableau: np.ndarray, basis: np.ndarray, n_enter: int,
     then the reduced-cost row [c_bar | -objective].  ``basis`` holds the
     basic variable of each constraint row; ``state[0]`` is the running
     degenerate-pivot count.  The caller refactorises the tableau
-
     between calls, so iteration 0 of every call sees fresh data.
 
     Returns (status, iterations).
@@ -95,7 +97,8 @@ def run_simplex(tableau: np.ndarray, basis: np.ndarray, n_enter: int,
         prow = tableau[r]
         factors = tableau[:, j].copy()
         factors[r] = 0.0
-        tableau -= np.outer(factors, prow)
+        rows = np.flatnonzero(factors)
+        tableau[rows] -= np.outer(factors[rows], prow)
         tableau[:, j] = 0.0
         tableau[r, j] = 1.0
         basis[r] = j

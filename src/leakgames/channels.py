@@ -55,7 +55,7 @@ class Channel:
             raise ValueError(f"row {bad!r} sums to {sums.max():.12g}, expected 1")
         data = np.clip(data, 0.0, None)
         data /= data.sum(axis=1, keepdims=True)
-        self.matrix = LabeledMatrix(matrix.rows, matrix.cols, data)
+        self.matrix = matrix.with_data(data)
 
     @staticmethod
     def from_rows(rows, cols, data) -> "Channel":

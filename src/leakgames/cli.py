@@ -20,7 +20,7 @@ import numpy as np
 from . import jsonio
 from .channels import equivalent, hidden_choice, visible_choice
 from .errors import LeakGamesError
-from .games import audit_hierarchy, hidden_branch_pieces, payoff_matrix, solve
+from .games import audit_hierarchy, payoff_matrix, solve
 from .labels import format_label
 from .minimax import branch_value
 from .pwdcheck import (
@@ -186,7 +186,7 @@ def cmd_pwd(args) -> int:
         print(f"wrote {args.table}", file=sys.stderr)
     sol = solve(game, "IV")
     uniform = np.full(len(game.defenders), 1.0 / len(game.defenders))
-    uniform_worst = max(branch_value(hidden_branch_pieces(game, a), uniform)
+    uniform_worst = max(branch_value(game.pieces(a), uniform)
                         for a in game.attackers)
     _print_json({
         "bits": args.bits,

@@ -53,9 +53,16 @@ VI_MIXED_DEFAULT_CAP = 100_000
 
 
 class LeakageGame:
-    """Immutable bundle of actions, channels, prior and measure."""
+    """Immutable bundle of actions, channels, prior and measure.
 
-    __slots__ = ("defenders", "attackers", "channels", "prior", "measure")
+    What the solvers derive from it is built on first use and kept: the
+    payoff table, each attacker action's epigraph pieces, and the
+    hidden simultaneous game's LP solution, which IV and its alias V
+    share.
+    """
+
+    __slots__ = ("defenders", "attackers", "channels", "prior", "measure",
+                 "_payoffs", "_pieces", "_hidden")
 
     def __init__(self, defenders, attackers, channels: Mapping, prior: Prior,
                  measure: VulnMeasure):
@@ -75,6 +82,15 @@ class LeakageGame:
                         f"channel ({d!r}, {a!r}) has secrets {sorted(map(str, ch.secrets))}, "
                         f"prior has {sorted(map(str, prior.labels))}")
         measure.check_secrets(prior.labels)
+        self._payoffs = None
+        self._pieces = {}
+        self._hidden = None
+
+    def pieces(self, a) -> np.ndarray:
+        """The epigraph pieces of attacker action ``a`` (see
+        ``hidden_branch_pieces``), built once."""
+        cached = self._pieces.get(a)
+        return cached if cached is not None else hidden_branch_pieces(self, a)
 
     def channel(self, d, a) -> Channel:
         try:
@@ -100,8 +116,11 @@ def pure_payoff(game: LeakageGame, d, a) -> float:
 
 
 def payoff_matrix(game: LeakageGame) -> LabeledMatrix:
-    data = [[pure_payoff(game, d, a) for a in game.attackers] for d in game.defenders]
-    return LabeledMatrix(game.defenders, game.attackers, data)
+    """Pure-profile payoffs, defenders as rows; kept on the game."""
+    if game._payoffs is None:
+        data = [[pure_payoff(game, d, a) for a in game.attackers] for d in game.defenders]
+        game._payoffs = LabeledMatrix(game.defenders, game.attackers, data)
+    return game._payoffs
 
 
 @dataclass
@@ -130,22 +149,33 @@ def _argmax(labels, score):
 
 def hidden_branch_pieces(game: LeakageGame, a) -> np.ndarray:
     """Epigraph pieces of delta -> posterior vuln of the delta-mixture
-    of the column ``a`` channels: k[y, w, d] = sum_x pi(x) C_da(x, y) g(w, x)."""
+    of the column ``a`` channels: k[y, w, d] = sum_x pi(x) C_da(x, y) g(w, x).
+
+    Rows and columns follow the first defender's channel.  The array is
+    read-only, C-contiguous and kept on the game: later calls for the
+    same ``a`` return the same object.
+    """
+    cached = game._pieces.get(a)
+    if cached is not None:
+        return cached
     chans = [game.channel(d, a) for d in game.defenders]
     ref = chans[0]
     pi = game.prior.aligned(ref.secrets)
     G = game.measure.gain_matrix(ref.secrets)
-    blocks = []
-    for ch in chans:
-        aligned = ch.matrix.align_to(ref.secrets, ref.observables)
-        blocks.append(G @ (pi[:, None] * aligned.data))  # |W| x |Y|
-    k = np.stack(blocks, axis=-1)        # |W| x |Y| x |D|
-    return np.transpose(k, (1, 0, 2))    # |Y| x |W| x |D|
+    stack = np.stack([
+        ch.data if ch.secrets == ref.secrets and ch.observables == ref.observables
+        else ch.matrix.align_to(ref.secrets, ref.observables).data
+        for ch in chans])                                    # |D| x |X| x |Y|
+    k = G @ (pi[:, None] * stack)                            # |D| x |W| x |Y|
+    k = np.ascontiguousarray(k.transpose(2, 1, 0))           # |Y| x |W| x |D|
+    k.setflags(write=False)
+    game._pieces[a] = k
+    return k
 
 
 def hidden_mixture_value(game: LeakageGame, a, delta: np.ndarray) -> float:
     """Posterior vulnerability of the hidden delta-mixture against pure a."""
-    return branch_value(hidden_branch_pieces(game, a), delta)
+    return branch_value(game.pieces(a), delta)
 
 
 def solve(game: LeakageGame, kind: str, vi_mixed_cap: int = VI_MIXED_DEFAULT_CAP) -> GameSolution:
@@ -219,9 +249,10 @@ def _solve_attacker_first_visible(game: LeakageGame) -> GameSolution:
 
 
 def _solve_hidden_simultaneous(game: LeakageGame) -> GameSolution:
-    game.check_hidden_typing()
-    pieces = [hidden_branch_pieces(game, a) for a in game.attackers]
-    sol = solve_convex_linear_game(pieces)
+    if game._hidden is None:
+        game.check_hidden_typing()
+        game._hidden = solve_convex_linear_game([game.pieces(a) for a in game.attackers])
+    sol = game._hidden
     return GameSolution(
         kind="IV",
         value=sol.value,
@@ -245,7 +276,7 @@ def _solve_attacker_first_hidden_mixed(game: LeakageGame, cap: int) -> GameSolut
     game.check_hidden_typing()
     functions = _function_space(game, cap)
     d_index = {d: i for i, d in enumerate(game.defenders)}
-    base = [hidden_branch_pieces(game, a) for a in game.attackers]
+    base = [game.pieces(a) for a in game.attackers]
     pieces = []
     for ai, a in enumerate(game.attackers):
         cols = [d_index[f[a]] for f in functions]
@@ -275,7 +306,7 @@ def _solve_attacker_first_hidden_behavioral(game: LeakageGame) -> GameSolution:
     per_a = {}
     minima = {}
     for a in game.attackers:
-        pieces = [hidden_branch_pieces(game, a)]
+        pieces = [game.pieces(a)]
         sol = solve_convex_linear_game(pieces)
         per_a[a] = dict(zip(game.defenders, sol.delta))
         minima[a] = sol.value
@@ -309,7 +340,8 @@ def mixed_to_behavioral(sigma: Mapping[tuple, float], attackers, defenders) -> d
 
 def _recompute(solution: GameSolution, game: LeakageGame) -> float:
     kind = solution.kind
-    u = payoff_matrix(game)
+    if kind in ("I", "II", "III"):
+        u = payoff_matrix(game)
     if kind == "I":
         delta = solution.defender["dist"]
         alpha = solution.attacker["dist"]

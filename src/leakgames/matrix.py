@@ -31,18 +31,26 @@ class LabeledMatrix:
             raise DuplicateIndex("duplicate row labels")
         if len(set(cols)) != len(cols):
             raise DuplicateIndex("duplicate column labels")
-        arr = np.array(data, dtype=float)
-        if arr.shape != (len(rows), len(cols)):
-            raise ValueError(
-                f"data shape {arr.shape} does not match labels "
-                f"({len(rows)}, {len(cols)})"
-            )
-        arr.setflags(write=False)
         self.rows = rows
         self.cols = cols
-        self.data = arr
+        self.data = _checked_data(data, len(rows), len(cols))
         self._row_index = {r: i for i, r in enumerate(rows)}
         self._col_index = {c: i for i, c in enumerate(cols)}
+
+    def with_data(self, data) -> "LabeledMatrix":
+        """A matrix with this one's labels and new data of the same shape.
+
+        The labels were checked when this matrix was built, so the new
+        one shares its label tuples and index maps; only the data is
+        checked and copied.
+        """
+        out = LabeledMatrix.__new__(LabeledMatrix)
+        out.rows = self.rows
+        out.cols = self.cols
+        out.data = _checked_data(data, len(self.rows), len(self.cols))
+        out._row_index = self._row_index
+        out._col_index = self._col_index
+        return out
 
     def at(self, row: Label, col: Label) -> float:
         return float(self.data[self._row_index[row], self._col_index[col]])
@@ -81,6 +89,17 @@ class LabeledMatrix:
 
     def __repr__(self):
         return f"LabeledMatrix(rows={self.rows!r}, cols={self.cols!r})"
+
+
+def _checked_data(data, n_rows: int, n_cols: int) -> np.ndarray:
+    """A read-only float copy of ``data``, which must be n_rows x n_cols."""
+    arr = np.array(data, dtype=float)
+    if arr.shape != (n_rows, n_cols):
+        raise ValueError(
+            f"data shape {arr.shape} does not match labels ({n_rows}, {n_cols})"
+        )
+    arr.setflags(write=False)
+    return arr
 
 
 def scalar_mul(r: float, m: LabeledMatrix) -> LabeledMatrix:

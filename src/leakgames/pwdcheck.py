@@ -27,7 +27,7 @@ import numpy as np
 
 from .channels import Channel
 from .errors import BadPermutation, TooLarge
-from .games import LeakageGame, hidden_branch_pieces, solve
+from .games import LeakageGame, solve
 from .matrix import LabeledMatrix
 from .minimax import branch_value
 from .vuln import Prior, VulnMeasure
@@ -107,7 +107,17 @@ def build_game(n: int, prior: Prior, measure: VulnMeasure | None = None,
     measure = measure or VulnMeasure.bayes()
     orders = order_labels(n)
     lows = secret_labels(n)
-    channels = {(d, a): pwd_channel(n, d, a) for d in orders for a in lows}
+    # bit p (1-based, from the left) of an n-bit string s is s >> (n - p) & 1
+    shifts = n - np.array([_parse_order(d, n) for d in orders])        # [d, k]
+    values = np.arange(2 ** n)
+    diff = values[:, None] ^ values[None, :]                            # [a, x]
+    mismatch = diff[:, :, None, None] >> shifts[None, None] & 1        # [a, x, d, k]
+    # observable column: k - 1 for F@k at the first mismatch k, n for T@n
+    column = np.where(mismatch.any(axis=3), mismatch.argmax(axis=3), n)
+    blocks = np.eye(n + 1)[column.transpose(2, 0, 1)]                   # [d, a, x, y]
+    template = LabeledMatrix(lows, observable_labels(n), blocks[0, 0])
+    channels = {(d, a): Channel(template.with_data(blocks[i, j]))
+                for i, d in enumerate(orders) for j, a in enumerate(lows)}
     return LeakageGame(orders, lows, channels, prior, measure)
 
 
@@ -168,7 +178,7 @@ def verify_uniform_equilibrium(n: int, payoff_tol: float = 1e-9,
     game = build_game(n, Prior.uniform(secret_labels(n)), VulnMeasure.bayes(),
                       max_bits=max_bits)
     delta = np.full(len(game.defenders), 1.0 / len(game.defenders))
-    payoffs = {a: branch_value(hidden_branch_pieces(game, a), delta)
+    payoffs = {a: branch_value(game.pieces(a), delta)
                for a in game.attackers}
     vals = np.array(list(payoffs.values()))
     spread = float(vals.max() - vals.min())

@@ -154,8 +154,8 @@ def _run_phase(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray,
 
     The kernel is re-entered on a fresh tableau after every REFRESH
     request, every REFACTOR_EVERY pivots, and once more after it claims
-    optimality; only an optimality claim that survives a refresh (zero
-    further pivots) is accepted.
+    optimality; only an optimality claim made on a fresh tableau (zero
+    pivots since the last refactorisation) is accepted.
     """
     iterations = 0
     state = np.zeros(1, dtype=np.int64)
@@ -169,11 +169,11 @@ def _run_phase(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray,
         iterations += its
         if status == _kernel_py.UNBOUNDED:
             return status, tableau, y, iterations
-        fresh, y = _refactor(A, b, c, basis)
         if status == _kernel_py.OPTIMAL and its == 0:
-            # no pivot happened since the last refresh: truly optimal
-            return status, fresh, y, iterations
-        tableau = fresh
+            # no pivot happened since the last refresh: truly optimal, and
+            # the tableau and y are already that refresh's
+            return status, tableau, y, iterations
+        tableau, y = _refactor(A, b, c, basis)
 
 
 def _row_arrays(lp: LinearProgram):

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from conftest import demo_game
 from leakgames import jsonio
 from leakgames.cli import main
+from leakgames.pwdcheck import secret_labels
 
 
 def run(capsys, *args):
@@ -188,6 +190,22 @@ def test_pwd_analyze_builds_payoff_table_only_on_request(capsys, monkeypatch):
     code, out, _ = run(capsys, "pwd", "analyze", "--bits", "3", "--prior", "pihat")
     assert code == 0
     assert json.loads(out)["value"] == pytest.approx(0.6573, abs=2e-3)
+
+
+def test_pwd_analyze_builds_each_attackers_pieces_once(capsys, monkeypatch):
+    import leakgames.games as games
+
+    built = Counter()
+    original = games.hidden_branch_pieces
+
+    def counting(game, a):
+        built[a] += 1
+        return original(game, a)
+
+    monkeypatch.setattr(games, "hidden_branch_pieces", counting)
+    code, _, _ = run(capsys, "pwd", "analyze", "--bits", "3")
+    assert code == 0
+    assert built == Counter(secret_labels(3))
 
 
 def test_pwd_analyze_prior_a(capsys):

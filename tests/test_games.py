@@ -1,9 +1,10 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import channel, demo_game, random_game
+from conftest import channel, demo_game, random_game, random_measure, random_prior
 from leakgames.errors import TooLarge, TypeMismatch, UnknownAction
 from leakgames.games import (
     KINDS,
@@ -192,6 +193,72 @@ def test_audit_identical_channels():
     base = pure_payoff(g, "0", "0")
     for kind in KINDS:
         assert report.values[kind] == pytest.approx(base, abs=1e-9)
+
+
+def test_audit_shares_payoff_table_and_iv_solve(monkeypatch):
+    import leakgames.games as games
+
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(games, "pure_payoff", counting("payoffs", games.pure_payoff))
+    monkeypatch.setattr(games, "solve_convex_linear_game",
+                        counting("convex", games.solve_convex_linear_game))
+    g = demo_game()
+    report = audit_hierarchy(g)
+    # one payoff table for I, II and III
+    assert calls["payoffs"] == len(g.defenders) * len(g.attackers)
+    assert payoff_matrix(g) is payoff_matrix(g)
+    # IV (V reuses its LP), VI_mixed, and one VI_behavioral LP per attacker action
+    assert calls["convex"] == 2 + len(g.attackers)
+    assert ("IV==V", "IV", "V", True) in report.orderings
+
+
+def _reordered(ch):
+    """The same channel with its secrets reversed and observables rotated."""
+    rows = list(range(len(ch.secrets)))[::-1]
+    cols = list(range(1, len(ch.observables))) + [0]
+    return channel([ch.secrets[i] for i in rows], [ch.observables[j] for j in cols],
+                   ch.data[np.ix_(rows, cols)])
+
+
+def test_pieces_align_channels_listed_in_other_orders():
+    # entries are multiples of 1/8, so renormalising a reordered row is exact
+    rng = np.random.default_rng(23)
+    secrets = ("x0", "x1", "x2", "x3")
+    defenders, attackers = ("0", "1", "2"), ("0", "1")
+    for _ in range(30):
+        chans = {}
+        for a in attackers:
+            cols = tuple(f"y{a}_{k}" for k in range(int(rng.integers(2, 5))))
+            for d in defenders:
+                counts = rng.multinomial(8, np.full(len(cols), 1 / len(cols)), size=4)
+                chans[d, a] = channel(secrets, cols, counts / 8)
+        g = LeakageGame(defenders, attackers, chans, random_prior(rng, secrets),
+                        random_measure(rng, secrets))
+        reordered = LeakageGame(
+            defenders, attackers,
+            {(d, a): ch if d == defenders[0] else _reordered(ch) for (d, a), ch in chans.items()},
+            g.prior, g.measure)
+        for a in g.attackers:
+            assert np.array_equal(hidden_branch_pieces(reordered, a),
+                                  hidden_branch_pieces(g, a))
+
+
+def test_pieces_are_read_only_and_built_once():
+    g = random_game(np.random.default_rng(24))
+    for a in g.attackers:
+        k = hidden_branch_pieces(g, a)
+        assert not k.flags.writeable and k.flags.c_contiguous
+        assert hidden_branch_pieces(g, a) is k
+        assert g.pieces(a) is k
+        with pytest.raises(ValueError):
+            k[0, 0, 0] = 1.0
 
 
 def test_visible_dominates_hidden_pointwise():

@@ -59,6 +59,37 @@ def test_channels_are_deterministic_and_total():
             assert np.all(data.sum(axis=1) == 1.0)
 
 
+def test_build_game_channels_match_loop_reference():
+    # build_game derives every channel by array arithmetic; pwd_channel
+    # walks the secrets one at a time with first_mismatch
+    for n in range(1, 6):
+        game = build_game(n, Prior.uniform(secret_labels(n)))
+        for d in order_labels(n):
+            for a in secret_labels(n):
+                got, ref = game.channel(d, a), pwd_channel(n, d, a)
+                assert got.secrets == ref.secrets
+                assert got.observables == ref.observables
+                assert np.array_equal(got.data, ref.data), (n, d, a)
+
+
+def test_build_game_size_guard_precedes_any_allocation(monkeypatch):
+    import leakgames.pwdcheck as pwdcheck
+
+    class Untouchable:
+        def __getattr__(self, name):
+            raise AssertionError(f"np.{name} used before the size guard")
+
+    def never(*args):
+        raise AssertionError("labels built before the size guard")
+
+    prior = Prior.uniform(secret_labels(6))
+    monkeypatch.setattr(pwdcheck, "np", Untouchable())
+    monkeypatch.setattr(pwdcheck, "order_labels", never)
+    monkeypatch.setattr(pwdcheck, "secret_labels", never)
+    with pytest.raises(TooLarge):
+        pwdcheck.build_game(6, prior)
+
+
 def test_bad_order_rejected():
     with pytest.raises(BadPermutation):
         pwd_channel(3, "122", "101")

@@ -1,8 +1,17 @@
+import contextlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import leakgames.simplex as simplex
 from leakgames import _kernel_py
+from leakgames.games import hidden_branch_pieces
+from leakgames.minimax import convex_game_attacker_lp, convex_game_lp, prune_pieces
+from leakgames.pwdcheck import build_game, bundled_prior, secret_labels
 from leakgames.simplex import KERNEL_NAME, LinearProgram, _row_arrays, _standard_form, lp_solve
+from leakgames.vuln import Prior
 
 try:
     from leakgames import _kernel as _kernel_c
@@ -195,3 +204,159 @@ def test_kernel_selection_reported():
     assert KERNEL_NAME in ("compiled", "python")
     s = lp_solve(lp([1.0], [([1.0], ">=", 1.0)]))
     assert s.kernel == KERNEL_NAME
+
+
+def _reference_run_simplex(tableau, basis, n_enter, tol, max_iter, state):
+    """The numpy pivot loop with the rank-1 update applied to every row."""
+    k = _kernel_py
+    m = tableau.shape[0] - 1
+    n = tableau.shape[1] - 1
+    obj = tableau[m]
+    amplification = 1.0
+    for it in range(max_iter):
+        if amplification > k.AMPLIFICATION_CAP:
+            return k.REFRESH, it
+        bland = state[0] >= k.STALL_LIMIT
+        if bland:
+            negative = np.nonzero(obj[:n_enter] < -tol)[0]
+            if negative.size == 0:
+                return k.OPTIMAL, it
+            j = int(negative[0])
+        else:
+            j = int(np.argmin(obj[:n_enter]))
+            if obj[j] >= -tol:
+                return k.OPTIMAL, it
+        col = tableau[:m, j]
+        rhs = tableau[:m, n]
+        positive = np.nonzero(col > tol)[0]
+        if positive.size == 0:
+            return k.UNBOUNDED, it
+        ratios = rhs[positive] / col[positive]
+        ratios = np.where(ratios < 0.0, 0.0, ratios)
+        best = ratios.min()
+        ties = positive[ratios == best]
+        if bland:
+            r = int(ties[np.argmin(basis[ties])])
+        else:
+            vals = col[ties]
+            widest = ties[vals == vals.max()]
+            r = int(widest[np.argmin(basis[widest])])
+        pivot = tableau[r, j]
+        if pivot < k.TRUSTED_PIVOT and it > 0:
+            return k.REFRESH, it
+        if pivot < k.SMALL_PIVOT:
+            amplification *= k.SMALL_PIVOT / pivot
+        if best <= k.DEGENERATE_STEP:
+            state[0] += 1
+        else:
+            state[0] = 0
+        tableau[r] /= pivot
+        prow = tableau[r]
+        factors = tableau[:, j].copy()
+        factors[r] = 0.0
+        tableau -= np.outer(factors, prow)
+        tableau[:, j] = 0.0
+        tableau[r, j] = 1.0
+        basis[r] = j
+    return k.ITERATION_LIMIT, max_iter
+
+
+def _reference_run_phase(A, b, c, basis, n_enter, max_iter):
+    """The phase driver that refactors once more after every optimality
+    claim, also when the claim was made on a fresh tableau."""
+    iterations = 0
+    state = np.zeros(1, dtype=np.int64)
+    tableau, y = simplex._refactor(A, b, c, basis)
+    while True:
+        budget = min(simplex.REFACTOR_EVERY, max_iter - iterations)
+        if budget <= 0:
+            return _kernel_py.ITERATION_LIMIT, tableau, y, iterations
+        status, its = _reference_run_simplex(tableau, basis, n_enter, simplex.PIVOT_TOL,
+                                             budget, state)
+        iterations += its
+        if status == _kernel_py.UNBOUNDED:
+            return status, tableau, y, iterations
+        fresh, y = simplex._refactor(A, b, c, basis)
+        if status == _kernel_py.OPTIMAL and its == 0:
+            return status, fresh, y, iterations
+        tableau = fresh
+
+
+@contextlib.contextmanager
+def _reference_phases():
+    saved = simplex._run_phase
+    simplex._run_phase = _reference_run_phase
+    try:
+        yield
+    finally:
+        simplex._run_phase = saved
+
+
+def _outcome(program):
+    try:
+        return lp_solve(program)
+    except Exception as exc:  # both paths must fail alike
+        return type(exc), str(exc)
+
+
+def _assert_follows_reference(program):
+    got = _outcome(program)
+    with _reference_phases():
+        ref = _outcome(program)
+    if isinstance(ref, tuple):
+        assert got == ref
+        return
+    assert got.status == ref.status
+    assert got.iterations == ref.iterations
+    # == on arrays: a zero may differ in sign, nothing else may
+    for a, b in ((got.x, ref.x), (got.duals, ref.duals)):
+        assert (a is None and b is None) or np.array_equal(a, b)
+    assert got.objective == ref.objective
+    assert got.gap == ref.gap
+
+
+@st.composite
+def attacker_form_lps(draw):
+    """Column-player LPs of convex games: one equality row per (a, y)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_d, n_a = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    coarse = draw(st.booleans())       # few distinct values: many ties
+    pieces = []
+    for _ in range(n_a):
+        shape = (int(rng.integers(1, 5)), int(rng.integers(1, 5)), n_d)
+        pieces.append(rng.integers(0, 3, size=shape) / 4 if coarse else rng.uniform(size=shape))
+    if draw(st.booleans()):
+        pieces = prune_pieces(pieces)
+    return convex_game_attacker_lp(pieces)[0]
+
+
+@st.composite
+def mixed_relation_lps(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n, m = draw(st.integers(1, 7)), draw(st.integers(1, 9))
+    rows = [(rng.integers(-3, 4, size=n) * rng.uniform(0.1, 3),
+             ["<=", "=", ">="][int(rng.integers(3))], float(rng.integers(-3, 4)))
+            for _ in range(m)]
+    free = [j for j in range(n) if rng.uniform() < 0.3]
+    return lp(rng.normal(size=n), rows, sense=draw(st.sampled_from(["min", "max"])), free=free)
+
+
+@settings(max_examples=150, deadline=None)
+@given(attacker_form_lps())
+def test_attacker_form_lps_follow_reference_path(program):
+    _assert_follows_reference(program)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_relation_lps())
+def test_mixed_relation_lps_follow_reference_path(program):
+    _assert_follows_reference(program)
+
+
+def test_checker_lps_follow_reference_path():
+    for n, prior in ((3, bundled_prior("pihat")), (4, Prior.uniform(secret_labels(4)))):
+        game = build_game(n, prior)
+        kept = prune_pieces([hidden_branch_pieces(game, a) for a in game.attackers])
+        _assert_follows_reference(convex_game_attacker_lp(kept)[0])
+        if n == 3:
+            _assert_follows_reference(convex_game_lp(kept)[0])
