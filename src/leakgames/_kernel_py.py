@@ -1,12 +1,9 @@
-"""Pure numpy simplex pivot loop.
+"""Numpy simplex pivot loop, the one kernel behind leakgames.simplex.
 
-Mirrors leakgames._kernel (the compiled variant): same entering rule,
-same ratio test and tie breaks, same floating point operations in the
-row elimination, so both kernels follow identical pivot paths.  The one
-difference: the compiled kernel updates every row, while this one skips
-the rows whose elimination factor is zero.  Subtracting 0 * pivot row
-leaves an entry unchanged except, at most, for the sign of a zero,
-which no comparison in the loop can see.
+The row elimination skips the rows whose elimination factor is zero.
+Subtracting 0 * pivot row would leave an entry unchanged except, at
+most, for the sign of a zero, which no comparison in the loop can see,
+so the pivot path is the same as with a full-tableau update.
 
 Pivot selection is Dantzig's most-negative-reduced-cost rule with the
 ratio-test tie broken towards the numerically largest pivot element.

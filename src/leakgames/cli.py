@@ -138,10 +138,10 @@ def _solution_json(sol) -> dict:
 def cmd_game(args) -> int:
     game = jsonio.game_from_json(jsonio.load(args.game))
     if args.game_cmd == "solve":
-        sol = solve(game, KIND_FLAGS[args.kind], vi_mixed_cap=args.vi_mixed_cap)
+        sol = solve(game, KIND_FLAGS[args.kind])
         _print_json(_solution_json(sol))
         return EXIT_OK
-    report = audit_hierarchy(game, vi_mixed_cap=args.vi_mixed_cap)
+    report = audit_hierarchy(game)
     _print_json({
         "values": {k: float(v) for k, v in report.values.items()},
         "orderings": [{"check": name, "holds": holds}
@@ -232,10 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     game_sub = p_game.add_subparsers(dest="game_cmd", required=True)
     p_solve = game_sub.add_parser("solve")
     p_solve.add_argument("--kind", choices=list(KIND_FLAGS), required=True)
-    p_solve.add_argument("--vi-mixed-cap", type=int, default=100_000, dest="vi_mixed_cap")
     p_solve.add_argument("game")
     p_audit = game_sub.add_parser("audit", help="solve all kinds, check the value lattice")
-    p_audit.add_argument("--vi-mixed-cap", type=int, default=100_000, dest="vi_mixed_cap")
     p_audit.add_argument("game")
 
     p_pwd = sub.add_parser("pwd", help="password-checker case study")

@@ -30,7 +30,7 @@ class UnknownAction(LeakGamesError):
 
 
 class TooLarge(LeakGamesError):
-    """Problem exceeds a configured enumeration cap."""
+    """Problem exceeds a configured size guard."""
 
 
 class BadPermutation(LeakGamesError):

@@ -14,7 +14,11 @@ Seven solve modes cover the order-of-play / visibility grid:
     V               defender first, hidden (equivalent to IV: with the
                     draw hidden the follower learns nothing)
     VI_mixed        attacker first, hidden; defender mixes over
-                    functions attacker-action -> defender-action
+                    functions attacker-action -> defender-action.
+                    Under perfect recall a mixture over functions pays
+                    what its per-action marginals pay (Kuhn, 1953), so
+                    the value is VI_behavioral's and the witness is the
+                    quantile coupling of its marginals
     VI_behavioral   attacker first, hidden; defender picks a mixture
                     after seeing the attacker's action
 
@@ -23,21 +27,20 @@ and pure argmin/argmax.  Hidden-choice payoffs are convex in the
 defender's mixture, handled by leakgames.minimax.solve_convex_linear_game
 (the epigraph LP or its dual, whichever is smaller).
 
-Tie-breaking everywhere: lowest action in label order.  Solvers are
-pure per call over immutable inputs; independent solves may run
-concurrently.
+Tie-breaking everywhere: lowest action in label order.  The inputs are
+immutable; the arrays and LP solutions the solvers derive from them
+are cached on the game on first use (see LeakageGame).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
 from .channels import Channel
-from .errors import SolverError, TooLarge, TypeMismatch, UnknownAction
+from .errors import SolverError, TypeMismatch, UnknownAction
 from .labels import label_key
 from .matrix import LabeledMatrix, sorted_labels
 from .minimax import (
@@ -49,20 +52,19 @@ from .vuln import Prior, VulnMeasure, posterior_vuln
 
 KINDS = ("I", "II", "III", "IV", "V", "VI_mixed", "VI_behavioral")
 
-VI_MIXED_DEFAULT_CAP = 100_000
-
 
 class LeakageGame:
     """Immutable bundle of actions, channels, prior and measure.
 
     What the solvers derive from it is built on first use and kept: the
-    payoff table, each attacker action's epigraph pieces, and the
-    hidden simultaneous game's LP solution, which IV and its alias V
+    payoff table, each attacker action's epigraph pieces, the hidden
+    simultaneous game's LP solution, which IV and its alias V share,
+    and the per-action LP solutions, which VI_behavioral and VI_mixed
     share.
     """
 
     __slots__ = ("defenders", "attackers", "channels", "prior", "measure",
-                 "_payoffs", "_pieces", "_hidden")
+                 "_payoffs", "_pieces", "_hidden", "_per_action")
 
     def __init__(self, defenders, attackers, channels: Mapping, prior: Prior,
                  measure: VulnMeasure):
@@ -85,6 +87,7 @@ class LeakageGame:
         self._payoffs = None
         self._pieces = {}
         self._hidden = None
+        self._per_action = None
 
     def pieces(self, a) -> np.ndarray:
         """The epigraph pieces of attacker action ``a`` (see
@@ -178,7 +181,7 @@ def hidden_mixture_value(game: LeakageGame, a, delta: np.ndarray) -> float:
     return branch_value(game.pieces(a), delta)
 
 
-def solve(game: LeakageGame, kind: str, vi_mixed_cap: int = VI_MIXED_DEFAULT_CAP) -> GameSolution:
+def solve(game: LeakageGame, kind: str) -> GameSolution:
     if kind not in KINDS:
         raise ValueError(f"unknown game kind {kind!r}; expected one of {KINDS}")
     if kind == "I":
@@ -197,7 +200,7 @@ def solve(game: LeakageGame, kind: str, vi_mixed_cap: int = VI_MIXED_DEFAULT_CAP
                 "learns nothing from moving second")
         return out
     if kind == "VI_mixed":
-        return _solve_attacker_first_hidden_mixed(game, vi_mixed_cap)
+        return _solve_attacker_first_hidden_mixed(game)
     return _solve_attacker_first_hidden_behavioral(game)
 
 
@@ -262,62 +265,70 @@ def _solve_hidden_simultaneous(game: LeakageGame) -> GameSolution:
     )
 
 
-def _function_space(game: LeakageGame, cap: int):
-    n = len(game.defenders) ** len(game.attackers)
-    if n > cap:
-        raise TooLarge(
-            f"{len(game.defenders)}^{len(game.attackers)} = {n} defender functions "
-            f"exceed the cap of {cap}; raise the cap to enumerate anyway")
-    return [dict(zip(game.attackers, combo))
-            for combo in itertools.product(game.defenders, repeat=len(game.attackers))]
+def _attacker_first_hidden(game: LeakageGame):
+    """Each attacker action's minimising hidden mixture (one LP per
+    action, solved once per game and shared by both VI modes), the
+    per-action minima and the attacker's best action."""
+    if game._per_action is None:
+        game.check_hidden_typing()
+        game._per_action = {a: solve_convex_linear_game([game.pieces(a)])
+                            for a in game.attackers}
+    sols = game._per_action
+    minima = {a: sol.value for a, sol in sols.items()}
+    return sols, minima, _argmax(game.attackers, minima.__getitem__)
 
 
-def _solve_attacker_first_hidden_mixed(game: LeakageGame, cap: int) -> GameSolution:
-    game.check_hidden_typing()
-    functions = _function_space(game, cap)
-    d_index = {d: i for i, d in enumerate(game.defenders)}
-    base = [game.pieces(a) for a in game.attackers]
-    pieces = []
-    for ai, a in enumerate(game.attackers):
-        cols = [d_index[f[a]] for f in functions]
-        pieces.append(base[ai][:, :, cols])
-    sol = solve_convex_linear_game(pieces)
-    ties = [a for a, w in zip(game.attackers, sol.alpha) if w == sol.alpha.max()]
-    a_star = min(ties, key=label_key)
-    sigma = {tuple(f[a] for a in game.attackers): w
-             for f, w in zip(functions, sol.delta) if w > 0.0}
-    marginals = mixed_to_behavioral(
-        {tuple(f[a] for a in game.attackers): w for f, w in zip(functions, sol.delta)},
-        game.attackers, game.defenders)
+def _solve_attacker_first_hidden_mixed(game: LeakageGame) -> GameSolution:
+    sols, minima, a_star = _attacker_first_hidden(game)
+    sigma = quantile_coupling([sols[a].delta for a in game.attackers], game.defenders)
     return GameSolution(
         kind="VI_mixed",
-        value=sol.value,
-        defender={"type": "mixed_functions", "dist": sigma, "marginals": marginals,
+        value=minima[a_star],
+        defender={"type": "mixed_functions", "dist": sigma,
+                  "marginals": mixed_to_behavioral(sigma, game.attackers, game.defenders),
                   "function_order": tuple(game.attackers)},
-        attacker={"type": "pure", "action": a_star,
-                  "dual_dist": dict(zip(game.attackers, sol.alpha))},
-        diagnostics={"solver": "epigraph LP over defender functions",
-                     "functions": len(functions), **sol.diagnostics},
+        attacker={"type": "pure", "action": a_star, "per_action_value": minima},
+        diagnostics={"solver": "per-action epigraph LPs, quantile coupling"},
     )
 
 
 def _solve_attacker_first_hidden_behavioral(game: LeakageGame) -> GameSolution:
-    game.check_hidden_typing()
-    per_a = {}
-    minima = {}
-    for a in game.attackers:
-        pieces = [game.pieces(a)]
-        sol = solve_convex_linear_game(pieces)
-        per_a[a] = dict(zip(game.defenders, sol.delta))
-        minima[a] = sol.value
-    a_star = _argmax(game.attackers, minima.__getitem__)
+    sols, minima, a_star = _attacker_first_hidden(game)
     return GameSolution(
         kind="VI_behavioral",
         value=minima[a_star],
-        defender={"type": "behavioral", "map": per_a},
+        defender={"type": "behavioral",
+                  "map": {a: dict(zip(game.defenders, sol.delta)) for a, sol in sols.items()}},
         attacker={"type": "pure", "action": a_star, "per_action_value": minima},
         diagnostics={"solver": "per-action epigraph LPs"},
     )
+
+
+def quantile_coupling(marginals, defenders) -> dict:
+    """A distribution over functions attacker-action -> defender-action
+    with the given per-action marginals: their comonotone coupling.
+
+    ``marginals[i]`` is a distribution over ``defenders`` for the i-th
+    attacker action.  One u drawn uniformly from (0, 1] picks, for every
+    action, the defender whose cumulative interval holds u.  The result
+    maps function tuples (values in action order) to the length of the
+    u-interval on which that tuple is picked.  Cut points are the
+    partial sums below each action's last support point, so there are
+    at most sum_i |supp_i| - |A| + 1 atoms.
+    """
+    supports, cuts = [], []
+    for m in marginals:
+        m = np.asarray(m, dtype=float)
+        support = np.flatnonzero(m > 0.0)
+        supports.append(support)
+        cuts.append(np.cumsum(m)[support[:-1]])
+    ends = np.unique(np.concatenate([*cuts, [1.0]]))
+    ends = ends[ends <= 1.0]            # a partial sum may round above 1
+    weights = np.diff(ends, prepend=0.0)
+    picks = [support[np.searchsorted(cut, ends, side="left")]
+             for support, cut in zip(supports, cuts)]
+    return {tuple(defenders[p[k]] for p in picks): float(w)
+            for k, w in enumerate(weights)}
 
 
 def mixed_to_behavioral(sigma: Mapping[tuple, float], attackers, defenders) -> dict:
@@ -395,15 +406,14 @@ HIERARCHY_ORDERINGS = (
 )
 
 
-def audit_hierarchy(game: LeakageGame, tol: float = 1e-7,
-                    vi_mixed_cap: int = VI_MIXED_DEFAULT_CAP) -> HierarchyReport:
+def audit_hierarchy(game: LeakageGame, tol: float = 1e-7) -> HierarchyReport:
     """Solve every mode and check the value orderings between them.
 
     The expected lattice: II >= I >= III, I >= IV >= VI_mixed,
     III >= VI_mixed >= VI_behavioral, and IV == V.  III and IV are
     deliberately not compared: neither dominates the other.
     """
-    values = {k: solve(game, k, vi_mixed_cap).value for k in KINDS}
+    values = {k: solve(game, k).value for k in KINDS}
     orderings = []
     violations = []
     for hi, lo in HIERARCHY_ORDERINGS:

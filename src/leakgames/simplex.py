@@ -6,11 +6,10 @@ produces (matrix games, epigraph formulations, convex-hull membership).
 Determinism matters more than speed here: given the same input the
 solver always follows the same pivot path.
 
-The pivot loop itself lives in a kernel module with two interchangeable
-implementations: a compiled Cython extension (leakgames._kernel) and a
-pure numpy fallback (leakgames._kernel_py).  The compiled one is picked
-at import time when present; set LEAKGAMES_PURE_PY=1 to force the
-fallback.  Both follow identical pivot paths.
+The pivot loop itself lives in leakgames._kernel_py (numpy), reached
+through the module global ``_kernel``; ``_run_phase`` drives it and
+``_refactor`` rebuilds the tableau between its calls.  LP sizes and
+objectives are logged at DEBUG level (LEAKGAMES_LOG=DEBUG on the CLI).
 
 Variables are nonnegative by default; a variable may be declared free
 (encoded internally as a difference of two nonnegative ones).  General
@@ -20,7 +19,6 @@ upper bounds are out of scope.
 from __future__ import annotations
 
 import logging
-import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -31,17 +29,8 @@ from .errors import SolverError
 
 log = logging.getLogger(__name__)
 
-if os.environ.get("LEAKGAMES_PURE_PY"):
-    _kernel = _kernel_py
-    KERNEL_NAME = "python"
-else:
-    try:
-        from . import _kernel  # type: ignore[attr-defined]
-
-        KERNEL_NAME = "compiled"
-    except ImportError:
-        _kernel = _kernel_py
-        KERNEL_NAME = "python"
+_kernel = _kernel_py
+KERNEL_NAME = "python"
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-8
@@ -251,10 +240,7 @@ def lp_solve(lp: LinearProgram, max_iter: int | None = None) -> LPSolution:
     iterations = 0
     if max_iter is None:
         max_iter = 5000 + 100 * (m + total)
-    debug = bool(os.environ.get("LEAKGAMES_LP_DEBUG"))
-    if debug:
-        log.info("lp_solve: %d rows, %d std cols, %d artificials, kernel=%s",
-                 m, n_std, n_art, KERNEL_NAME)
+    log.debug("lp_solve: %d rows, %d std cols, %d artificials", m, n_std, n_art)
 
     keep_rows = np.arange(m)
     if n_art:
@@ -320,9 +306,8 @@ def lp_solve(lp: LinearProgram, max_iter: int | None = None) -> LPSolution:
 
     objective = primal0 if minimize else -primal0
     duals = duals0 if minimize else -duals0
-    if debug:
-        log.info("lp_solve: optimal obj=%.12g gap=%.3g iters=%d",
-                 objective, gap, iterations)
+    log.debug("lp_solve: optimal obj=%.12g gap=%.3g iters=%d",
+              objective, gap, iterations)
     return LPSolution(
         status="optimal", x=x, duals=duals, objective=objective,
         gap=gap, max_residual=residual, iterations=iterations,

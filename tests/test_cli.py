@@ -140,11 +140,16 @@ def test_game_solve_v_notes_alias(capsys, demo_file):
     assert json.loads(out4)["value"] == pytest.approx(report["value"], abs=1e-12)
 
 
-def test_game_vi_mixed_cap_errors(capsys, demo_file):
-    code, _, err = run(capsys, "game", "solve", "--kind", "VI-mixed",
-                       "--vi-mixed-cap", "3", demo_file)
-    assert code == 1
-    assert "cap" in err
+def test_game_audit_of_3bit_checker(capsys, tmp_path):
+    # 6^8 defender functions: VI_mixed must not enumerate them
+    path = str(tmp_path / "pwd3.json")
+    code, _, _ = run(capsys, "pwd", "gen", "--bits", "3", "--out", path)
+    assert code == 0
+    code, out, _ = run(capsys, "game", "audit", path)
+    assert code == 0
+    report = json.loads(out)
+    assert report["values"]["VI_mixed"] == pytest.approx(1 / 3, abs=1e-9)
+    assert report["values"]["VI_mixed"] == report["values"]["VI_behavioral"]
 
 
 def test_game_audit(capsys, demo_file):

@@ -3,9 +3,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import channel, demo_game, random_game, random_measure, random_prior
-from leakgames.errors import TooLarge, TypeMismatch, UnknownAction
+from leakgames.errors import TypeMismatch, UnknownAction
 from leakgames.games import (
     KINDS,
     LeakageGame,
@@ -15,6 +17,7 @@ from leakgames.games import (
     mixed_to_behavioral,
     payoff_matrix,
     pure_payoff,
+    quantile_coupling,
     solve,
 )
 from leakgames.minimax import branch_value
@@ -134,9 +137,55 @@ def test_demo_vi_mixed_matches_brute_force(game2x2):
         assert hidden_mixture_value(game2x2, a, delta) <= s.value + 1e-9
 
 
-def test_vi_mixed_cap(game2x2):
-    with pytest.raises(TooLarge):
-        solve(game2x2, "VI_mixed", vi_mixed_cap=3)
+def test_demo_vi_mixed_witness(game2x2):
+    # the quantile coupling of the behavioural marginals (1, 0) and
+    # (1/4, 3/4): 1/4 on the constant function a -> 0, 3/4 on a -> a
+    s = solve(game2x2, "VI_mixed")
+    assert s.defender["dist"] == {("0", "0"): 0.25, ("0", "1"): 0.75}
+    assert s.attacker == solve(game2x2, "VI_behavioral").attacker
+
+
+def _support_bound(marginals):
+    return sum(int((np.asarray(m) > 0).sum()) for m in marginals) - len(marginals) + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_vi_mixed_is_the_coupled_behavioral_solution(seed):
+    g = random_game(np.random.default_rng(seed))
+    mixed, behavioral = solve(g, "VI_mixed"), solve(g, "VI_behavioral")
+    assert mixed.value == behavioral.value
+    sigma = mixed.defender["dist"]
+    weights = np.array(list(sigma.values()))
+    assert (weights > 0).all() and weights.sum() == pytest.approx(1.0, abs=1e-12)
+    assert all(len(f) == len(g.attackers) and set(f) <= set(g.defenders) for f in sigma)
+    marg = mixed_to_behavioral(sigma, mixed.defender["function_order"], g.defenders)
+    beh = behavioral.defender["map"]
+    for a in g.attackers:
+        for d in g.defenders:
+            assert marg[a][d] == pytest.approx(beh[a][d], abs=1e-12)
+    assert len(sigma) <= _support_bound(
+        [[beh[a][d] for d in g.defenders] for a in g.attackers])
+    assert mixed.recompute_value(g) == pytest.approx(mixed.value, abs=1e-9)
+
+
+MASS = st.sampled_from([0.0, 0.0, 1e-17, 0.1, 0.25, 1 / 3, 0.5, 1.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n_d: st.lists(
+    st.lists(MASS, min_size=n_d, max_size=n_d).filter(any), min_size=1, max_size=5)))
+def test_quantile_coupling_keeps_marginals(raw):
+    marginals = [np.array(m) / sum(m) for m in raw]
+    defenders = tuple(f"d{i}" for i in range(len(raw[0])))
+    attackers = tuple(range(len(raw)))
+    sigma = quantile_coupling(marginals, defenders)
+    assert all(w > 0 for w in sigma.values())
+    assert sum(sigma.values()) == pytest.approx(1.0, abs=1e-12)
+    assert len(sigma) <= _support_bound(marginals)
+    marg = mixed_to_behavioral(sigma, attackers, defenders)
+    for a, m in zip(attackers, marginals):
+        assert [marg[a][d] for d in defenders] == pytest.approx(list(m), abs=1e-12)
 
 
 def test_hidden_typing_validation():
@@ -214,8 +263,9 @@ def test_audit_shares_payoff_table_and_iv_solve(monkeypatch):
     # one payoff table for I, II and III
     assert calls["payoffs"] == len(g.defenders) * len(g.attackers)
     assert payoff_matrix(g) is payoff_matrix(g)
-    # IV (V reuses its LP), VI_mixed, and one VI_behavioral LP per attacker action
-    assert calls["convex"] == 2 + len(g.attackers)
+    # IV (V reuses its LP), and one LP per attacker action that VI_mixed
+    # and VI_behavioral share
+    assert calls["convex"] == 1 + len(g.attackers)
     assert ("IV==V", "IV", "V", True) in report.orderings
 
 

@@ -10,13 +10,8 @@ from leakgames import _kernel_py
 from leakgames.games import hidden_branch_pieces
 from leakgames.minimax import convex_game_attacker_lp, convex_game_lp, prune_pieces
 from leakgames.pwdcheck import build_game, bundled_prior, secret_labels
-from leakgames.simplex import KERNEL_NAME, LinearProgram, _row_arrays, _standard_form, lp_solve
+from leakgames.simplex import LinearProgram, _row_arrays, _standard_form, lp_solve
 from leakgames.vuln import Prior
-
-try:
-    from leakgames import _kernel as _kernel_c
-except ImportError:
-    _kernel_c = None
 
 
 def lp(c, rows, sense="min", free=None):
@@ -177,33 +172,6 @@ def test_deterministic_repeat():
     assert a.iterations == b.iterations
     assert np.array_equal(a.x, b.x)
     assert a.objective == b.objective
-
-
-@pytest.mark.skipif(_kernel_c is None, reason="compiled kernel not built")
-def test_kernels_follow_identical_paths():
-    rng = np.random.default_rng(13)
-    for _ in range(50):
-        m, n = int(rng.integers(2, 10)), int(rng.integers(2, 7))
-        A = rng.normal(size=(m, n + 1))
-        A[:, -1] = np.abs(A[:, -1])
-        obj = rng.normal(size=n + 1)
-        t1 = np.ascontiguousarray(np.vstack([A, obj]))
-        t2 = t1.copy()
-        b1 = np.arange(m, dtype=np.int64)
-        b2 = b1.copy()
-        s1 = np.zeros(1, dtype=np.int64)
-        s2 = np.zeros(1, dtype=np.int64)
-        r1 = _kernel_py.run_simplex(t1, b1, n, 1e-9, 200, s1)
-        r2 = _kernel_c.run_simplex(t2, b2, n, 1e-9, 200, s2)
-        assert r1 == tuple(r2)
-        assert np.array_equal(b1, b2)
-        assert np.array_equal(t1, t2)
-
-
-def test_kernel_selection_reported():
-    assert KERNEL_NAME in ("compiled", "python")
-    s = lp_solve(lp([1.0], [([1.0], ">=", 1.0)]))
-    assert s.kernel == KERNEL_NAME
 
 
 def _reference_run_simplex(tableau, basis, n_enter, tol, max_iter, state):
