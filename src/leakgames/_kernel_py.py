@@ -90,13 +90,18 @@ def run_simplex(tableau: np.ndarray, basis: np.ndarray, n_enter: int,
             state[0] += 1
         else:
             state[0] = 0
-        tableau[r] /= pivot
-        prow = tableau[r]
-        factors = tableau[:, j].copy()
-        factors[r] = 0.0
-        rows = np.flatnonzero(factors)
-        tableau[rows] -= np.outer(factors[rows], prow)
-        tableau[:, j] = 0.0
-        tableau[r, j] = 1.0
-        basis[r] = j
+        pivot_on(tableau, basis, r, j)
     return ITERATION_LIMIT, max_iter
+
+
+def pivot_on(tableau: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
+    """Make column j basic in row r: the rank-1 update of ``tableau``."""
+    tableau[r] /= tableau[r, j]
+    prow = tableau[r]
+    factors = tableau[:, j].copy()
+    factors[r] = 0.0
+    rows = np.flatnonzero(factors)
+    tableau[rows] -= np.outer(factors[rows], prow)
+    tableau[:, j] = 0.0
+    tableau[r, j] = 1.0
+    basis[r] = j

@@ -48,11 +48,8 @@ class MatrixGameSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _payoff_array(payoff):
-    if isinstance(payoff, LabeledMatrix):
-        return np.array(payoff.data), payoff.rows, payoff.cols
-    arr = np.asarray(payoff, dtype=float)
-    return arr, None, None
+def _payoff_array(payoff) -> np.ndarray:
+    return np.array(payoff.data if isinstance(payoff, LabeledMatrix) else payoff, dtype=float)
 
 
 def matrix_game_lp(u: np.ndarray) -> LinearProgram:
@@ -98,7 +95,7 @@ def _distribution(weights: np.ndarray) -> np.ndarray:
 
 def solve_matrix_game(payoff) -> MatrixGameSolution:
     """Saddle point of a finite zero-sum matrix game (row min, col max)."""
-    u, _, _ = _payoff_array(payoff)
+    u = _payoff_array(payoff)
     n_d, n_a = u.shape
     sol = require_optimal(lp_solve(matrix_game_lp(u)), "matrix game LP")
     delta = _distribution(sol.x[:n_d])
@@ -123,7 +120,7 @@ def closed_form_2x2(payoff):
     nonzero and both strategy values land in [0, 1]; None otherwise
     (caller falls back to the LP).
     """
-    u, _, _ = _payoff_array(payoff)
+    u = _payoff_array(payoff)
     if u.shape != (2, 2):
         raise ValueError("closed form needs a 2x2 payoff matrix")
     den = u[0, 0] - u[0, 1] - u[1, 0] + u[1, 1]
@@ -164,7 +161,7 @@ def fictitious_play(payoff, iters: int, seed: int = 0) -> Bracket:
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    u, _, _ = _payoff_array(payoff)
+    u = _payoff_array(payoff)
     n_d, n_a = u.shape
     rng = np.random.default_rng(seed)
     row_counts = np.zeros(n_d)

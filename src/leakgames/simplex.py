@@ -8,8 +8,10 @@ solver always follows the same pivot path.
 
 The pivot loop itself lives in leakgames._kernel_py (numpy), reached
 through the module global ``_kernel``; ``_run_phase`` drives it and
-``_refactor`` rebuilds the tableau between its calls.  LP sizes and
-objectives are logged at DEBUG level (LEAKGAMES_LOG=DEBUG on the CLI).
+``_refactor`` rebuilds the tableau between its calls.  The kernel's
+rank-1 update, ``pivot_on``, also drives artificials out of the basis
+after phase 1.  LP sizes and objectives are logged at DEBUG level
+(LEAKGAMES_LOG=DEBUG on the CLI).
 
 Variables are nonnegative by default; a variable may be declared free
 (encoded internally as a difference of two nonnegative ones).  General
@@ -97,17 +99,6 @@ class LPSolution:
     @property
     def optimal(self) -> bool:
         return self.status == "optimal"
-
-
-def _pivot(tableau: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
-    tableau[r] /= tableau[r, j]
-    prow = tableau[r]
-    factors = tableau[:, j].copy()
-    factors[r] = 0.0
-    tableau -= np.outer(factors, prow)
-    tableau[:, j] = 0.0
-    tableau[r, j] = 1.0
-    basis[r] = j
 
 
 def _refactor(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray):
@@ -264,7 +255,7 @@ def lp_solve(lp: LinearProgram, max_iter: int | None = None) -> LPSolution:
             if basis[i] >= n_std:
                 nonzero = np.flatnonzero(np.abs(tableau[i, :n_std]) > PIVOT_TOL)
                 if nonzero.size:
-                    _pivot(tableau, basis, i, int(nonzero[0]))
+                    _kernel_py.pivot_on(tableau, basis, i, int(nonzero[0]))
                 else:
                     drop.append(i)
         if drop:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import channel, mix_example_channels, random_channel
+from conftest import _postprocessing_fit, channel, mix_example_channels, random_channel
 from leakgames.channels import (
     Channel,
     IndexDistribution,
@@ -13,7 +15,7 @@ from leakgames.channels import (
     zero_extend,
 )
 from leakgames.errors import BadDistribution, IncompatibleRows, TypeMismatch
-from leakgames.matrix import concat, matrix_sum, scalar_mul
+from leakgames.matrix import LabeledMatrix, concat, matrix_sum, scalar_mul
 
 C00 = channel("01", "01", [[1, 0], [1, 0]])
 C01 = channel("01", "01", [[1, 0], [0, 1]])
@@ -28,6 +30,11 @@ def test_channel_validation():
         channel("01", "01", [[1.1, -0.1], [0.5, 0.5]])
     c = channel("01", "01", [[0.5 + 4e-10, 0.5], [0.5, 0.5 - 4e-10]])
     assert np.allclose(c.data.sum(axis=1), 1.0, atol=0)
+
+
+def test_channel_validation_names_the_bad_rows_sum():
+    with pytest.raises(ValueError, match=r"^row '0' sums to 0\.5, expected 1$"):
+        channel("01", "01", [[0.5, 0], [0, 1]])
 
 
 def test_index_distribution():
@@ -130,6 +137,12 @@ def test_equivalent_mix_with_self():
     result = equivalent(C11, binary_visible(0.25, C11, C11))
     assert result.equivalent
     assert result.residual <= 1e-12
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-7])
+def test_equivalent_rejects_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="finite and positive"):
+        equivalent(C01, C00, tol=tol)
 
 
 def test_equivalent_requires_common_secrets():
@@ -294,3 +307,119 @@ def test_visible_distributes_over_hidden():
         lhs = binary_visible(p, c1, binary_hidden(q, c2, c3))
         rhs = binary_hidden(q, binary_visible(p, c1, c2), binary_visible(p, c1, c3))
         assert equivalent(lhs, rhs, tol=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# reduced-form check against the L-infinity fit LP it replaced
+
+TOL = 1e-7
+
+
+@st.composite
+def grid_channels(draw):
+    """Channels with entries k / (row total), k in 0..9: column masses are
+    0 or at least 1/28, and distinct posteriors differ by far more than
+    TOL, so exact constructions are decided far from the tolerance."""
+    n_x, n_y = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    row = st.lists(st.integers(0, 9), min_size=n_y, max_size=n_y).filter(any)
+    data = np.array(draw(st.lists(row, min_size=n_x, max_size=n_x)), dtype=float)
+    return channel([f"x{i}" for i in range(n_x)], [f"y{j}" for j in range(n_y)],
+                   data / data.sum(axis=1, keepdims=True))
+
+
+def _with_data(c: Channel, data, cols=None) -> Channel:
+    return Channel(LabeledMatrix(c.secrets, c.observables if cols is None else cols, data))
+
+
+@st.composite
+def equivalent_pairs(draw):
+    """A grid channel and an exact construction that leaks the same."""
+    c = draw(grid_channels())
+    n_y = len(c.observables)
+    kind = draw(st.sampled_from(["permute", "split", "merge", "zero", "visible", "hidden"]))
+    share = draw(st.floats(0.25, 0.75))
+    j = draw(st.integers(0, n_y - 1))
+    if kind == "permute":
+        order = draw(st.permutations(range(n_y)))
+        t = _with_data(c, c.data[:, order], tuple(c.observables[i] for i in order))
+    elif kind in ("split", "merge"):
+        data = np.insert(c.data, j + 1, (1 - share) * c.data[:, j], axis=1)
+        data[:, j] *= share
+        t = _with_data(c, data, c.observables + ("z",))
+        if kind == "merge":
+            c, t = t, c
+    elif kind == "zero":
+        t = _with_data(c, np.insert(c.data, j, 0.0, axis=1), c.observables + ("z",))
+    elif kind == "visible":
+        t = binary_visible(share, c, c)
+    else:
+        t = binary_hidden(share, c, c)
+    rows = draw(st.permutations(range(len(c.secrets))))
+    t = Channel(t.matrix.align_to(tuple(c.secrets[i] for i in rows)))
+    return c, t
+
+
+def _move(t: Channel, x: int, j: int, k: int, delta: float) -> Channel:
+    data = np.array(t.data)
+    data[x, j] -= delta
+    data[x, k] += delta
+    return _with_data(t, data)
+
+
+def _lp_residuals(c1: Channel, c2: Channel):
+    c2a = Channel(c2.matrix.align_to(c1.secrets))
+    return _postprocessing_fit(c1, c2a), _postprocessing_fit(c2a, c1)
+
+
+def _check_witnesses(c1: Channel, c2: Channel, result) -> None:
+    c2a = c2.matrix.align_to(c1.secrets).data
+    for (base, target), R in zip(((c2a, c1.data), (c1.data, c2a)), result.coefficients):
+        assert R.min() >= 0.0 and np.allclose(R.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert np.abs(base @ R - target).max() <= result.residual <= TOL
+
+
+@settings(max_examples=200, deadline=None)
+@given(equivalent_pairs(), st.sampled_from([0.0, 0.1, 10.0]), st.booleans(), st.data())
+def test_equivalent_agrees_with_lp_fit(pair, scale, swap, data):
+    c, t = pair
+    if scale:
+        # Move scale * TOL within one row, from column j to a column k whose
+        # largest entry sits in that row, leaving column j's largest entry.
+        # Bayes vulnerability sum_y max_x then rises by exactly delta, and a
+        # fit within TOL could raise it by at most |Y| * TOL < 10 * TOL.
+        delta = scale * TOL
+        T = t.data
+        moves = [(x, j, k) for x in range(T.shape[0]) for j in range(T.shape[1])
+                 for k in range(T.shape[1])
+                 if j != k and T[x, j] >= delta and T[x, k] == T[:, k].max()
+                 and np.delete(T[:, j], x).max() >= T[x, j]]
+        assume(moves)
+        t = _move(t, *data.draw(st.sampled_from(moves)), delta)
+    c1, c2 = (t, c) if swap else (c, t)
+    result = equivalent(c1, c2, tol=TOL)
+    r12, r21 = _lp_residuals(c1, c2)
+    assert result.equivalent == (max(r12, r21) <= TOL) == (scale < 1)
+    if result.equivalent:
+        _check_witnesses(c1, c2, result)
+    else:
+        assert result.residual > TOL and result.coefficients is None
+        assert result.violating_column in c1.observables + c2.observables
+
+
+@settings(max_examples=200, deadline=None)
+@given(equivalent_pairs(), st.floats(0.0, 20.0), st.data())
+def test_equivalent_verdict_is_a_feasible_lp_fit(pair, scale, data):
+    # near TOL the check may refuse a pair the LP fits, never the reverse
+    c, t = pair
+    x = data.draw(st.integers(0, len(t.secrets) - 1))
+    j = data.draw(st.integers(0, len(t.observables) - 1))
+    k = data.draw(st.integers(0, len(t.observables) - 1))
+    delta = min(scale * TOL, t.data[x, j])
+    if j != k:
+        t = _move(t, x, j, k, delta)
+    result = equivalent(c, t, tol=TOL)
+    if result.equivalent:
+        _check_witnesses(c, t, result)
+        # the witnesses are feasible points of the LP, so its optimum is no
+        # larger than their error (up to the LP solver's rounding)
+        assert max(_lp_residuals(c, t)) <= result.residual + 1e-12

@@ -80,6 +80,54 @@ def test_channel_equiv_exit_codes(capsys, mix_files):
     assert "violating_column" in report
 
 
+def _write_channel(path, rows, cols, data) -> str:
+    path.write_text(json.dumps({"rows": rows, "cols": cols, "data": data, "kind": "channel"}))
+    return str(path)
+
+
+def test_channel_equiv_witness_rebuilds_each_channel(capsys, tmp_path):
+    c1 = np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5], [0.1, 0.1, 0.8]])
+    # c2: rows in reverse order, column 0 split 1:3, column 2 duplicated, a zero column
+    c2 = np.column_stack([0.25 * c1[:, 0], 0.75 * c1[:, 0], c1[:, 1],
+                          0.5 * c1[:, 2], 0.5 * c1[:, 2], np.zeros(3)])
+    first = _write_channel(tmp_path / "c1.json", ["x0", "x1", "x2"], ["a", "b", "c"], c1.tolist())
+    second = _write_channel(tmp_path / "c2.json", ["x2", "x1", "x0"], list("uvwxyz"),
+                            c2[::-1].tolist())
+    tol = 1e-7
+    code, out, _ = run(capsys, "channel", "equiv", first, second, "--tol", str(tol))
+    assert code == 0
+    report = json.loads(out)
+    assert report["equivalent"] is True and report["residual"] <= tol
+    # witness[d][j] mixes the other channel's columns into column j of the target
+    for (base, target), direction in zip(((c2, c1), (c1, c2)), report["witness"]):
+        R = np.array(direction).T
+        assert R.shape == (base.shape[1], target.shape[1])
+        assert R.min() >= 0.0 and np.allclose(R.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert np.abs(base @ R - target).max() <= tol
+
+
+def test_channel_equiv_names_a_column_of_the_finer_channel(capsys, tmp_path):
+    # the constant channel is a post-processing of the identity, not the reverse
+    const = _write_channel(tmp_path / "const.json", ["x0", "x1"], ["a", "b"],
+                           [[1, 0], [1, 0]])
+    ident = _write_channel(tmp_path / "ident.json", ["x0", "x1"], ["u", "v"],
+                           [[1, 0], [0, 1]])
+    for pair in ((const, ident), (ident, const)):
+        code, out, _ = run(capsys, "channel", "equiv", *pair)
+        assert code == 2
+        report = json.loads(out)
+        assert report["equivalent"] is False and report["residual"] > 1e-7
+        assert report["violating_column"] in ("u", "v")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_channel_equiv_rejects_non_finite_tol(capsys, mix_files, tol):
+    code, out, err = run(capsys, "channel", "equiv", mix_files["c1"], mix_files["c2"],
+                         "--tol", tol)
+    assert code == 1
+    assert out == "" and "finite and positive" in err
+
+
 def test_channel_validate(capsys, tmp_path, mix_files):
     code, out, _ = run(capsys, "channel", "validate", mix_files["c1"])
     assert code == 0 and "valid" in out
