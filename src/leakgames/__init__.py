@@ -17,7 +17,6 @@ from .games import (
     audit_hierarchy,
     mixed_to_behavioral,
     payoff_matrix,
-    pure_payoff,
     solve,
 )
 from .labels import format_label, parse_label, tag
@@ -45,7 +44,7 @@ __all__ = [
     "Channel", "IndexDistribution", "binary_hidden", "binary_visible",
     "equivalent", "hidden_choice", "visible_choice", "zero_extend",
     "GameSolution", "LeakageGame", "audit_hierarchy", "mixed_to_behavioral",
-    "payoff_matrix", "pure_payoff", "solve",
+    "payoff_matrix", "solve",
     "format_label", "parse_label", "tag",
     "LabeledMatrix", "concat", "matrix_sum", "scalar_mul",
     "LinearProgram", "LPSolution", "closed_form_2x2", "fictitious_play",

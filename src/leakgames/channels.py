@@ -32,6 +32,26 @@ from .matrix import LabeledMatrix, concat, matrix_sum, scalar_mul
 VALIDATION_TOL = 1e-9
 
 
+def stochastic(data, row_name) -> np.ndarray:
+    """A checked copy of ``data``, rows along its last axis: entries
+    finite and in [0, 1], row sums 1, both within ``VALIDATION_TOL``;
+    then each row is renormalised exactly.  ``row_name(index)`` names a
+    failing row by its index over the leading axes, so stacked channels
+    are checked in one pass."""
+    data = np.array(data, dtype=float)
+    if data.size == 0:
+        raise ValueError("channel must have at least one row and column")
+    if not -VALIDATION_TOL <= data.min() <= data.max() <= 1 + VALIDATION_TOL:  # NaN fails too
+        raise ValueError("channel entries must be finite and lie in [0, 1]")
+    sums = data.sum(axis=-1)
+    worst = np.unravel_index(np.argmax(np.abs(sums - 1.0)), sums.shape)
+    if abs(sums[worst] - 1.0) > VALIDATION_TOL:
+        raise ValueError(f"{row_name(worst)} sums to {sums[worst]:.12g}, expected 1")
+    np.clip(data, 0.0, None, out=data)
+    data /= data.sum(axis=-1, keepdims=True)
+    return data
+
+
 class Channel:
     """A stochastic labelled matrix: entries in [0, 1], rows summing to 1.
 
@@ -43,18 +63,8 @@ class Channel:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix: LabeledMatrix):
-        data = np.array(matrix.data)
-        if data.size == 0:
-            raise ValueError("channel must have at least one row and column")
-        if data.min() < -VALIDATION_TOL or data.max() > 1 + VALIDATION_TOL:
-            raise ValueError("channel entries must lie in [0, 1]")
-        sums = data.sum(axis=1)
-        worst = int(np.argmax(np.abs(sums - 1.0)))
-        if abs(sums[worst] - 1.0) > VALIDATION_TOL:
-            raise ValueError(f"row {matrix.rows[worst]!r} sums to {sums[worst]:.12g}, expected 1")
-        data = np.clip(data, 0.0, None)
-        data /= data.sum(axis=1, keepdims=True)
-        self.matrix = matrix.with_data(data)
+        data = stochastic(matrix.data, lambda i: f"row {matrix.rows[i[0]]!r}")
+        self.matrix = LabeledMatrix(matrix.rows, matrix.cols, data)
 
     @property
     def secrets(self):
@@ -81,8 +91,8 @@ class Channel:
 class IndexDistribution:
     """Probability distribution over index labels.
 
-    Weights are validated (nonnegative, unit sum within 1e-9) and
-    renormalised exactly.
+    Weights are validated (finite, nonnegative, unit sum within 1e-9)
+    and renormalised exactly.
     """
 
     __slots__ = ("weights",)
@@ -92,8 +102,8 @@ class IndexDistribution:
         if not items:
             raise BadDistribution("empty distribution")
         vals = np.array(list(items.values()))
-        if vals.min() < -VALIDATION_TOL:
-            raise BadDistribution("negative weight")
+        if not (np.isfinite(vals).all() and vals.min() >= -VALIDATION_TOL):
+            raise BadDistribution("weights must be finite and nonnegative")
         total = vals.sum()
         if abs(total - 1.0) > VALIDATION_TOL:
             raise BadDistribution(f"weights sum to {total:.12g}, expected 1")

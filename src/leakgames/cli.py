@@ -20,10 +20,10 @@ import numpy as np
 from . import jsonio
 from .channels import equivalent, hidden_choice, visible_choice
 from .errors import LeakGamesError
-from .games import audit_hierarchy, payoff_matrix, solve
+from .games import audit_hierarchy, hidden_mixture_value, payoff_matrix, solve
 from .labels import format_label
-from .minimax import branch_value
 from .pwdcheck import (
+    MAX_BITS_DEFAULT,
     build_game,
     bundled_prior,
     expected_iterations,
@@ -41,10 +41,6 @@ KIND_FLAGS = {
     "I": "I", "II": "II", "III": "III", "IV": "IV", "V": "V",
     "VI-mixed": "VI_mixed", "VI-behavioral": "VI_behavioral",
 }
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.6g}"
 
 
 def _print_json(obj) -> None:
@@ -180,14 +176,12 @@ def cmd_pwd(args) -> int:
         with open(args.table, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["order"] + [format_label(a) for a in game.attackers])
-            for d in game.defenders:
-                writer.writerow([format_label(d)]
-                                + [f"{u.at(d, a):.6f}" for a in game.attackers])
+            for d, row in zip(game.defenders, u.data):
+                writer.writerow([format_label(d)] + [f"{v:.6f}" for v in row])
         print(f"wrote {args.table}", file=sys.stderr)
     sol = solve(game, "IV")
     uniform = np.full(len(game.defenders), 1.0 / len(game.defenders))
-    uniform_worst = max(branch_value(game.pieces(a), uniform)
-                        for a in game.attackers)
+    uniform_worst = max(hidden_mixture_value(game, a, uniform) for a in game.attackers)
     _print_json({
         "bits": args.bits,
         "value": float(sol.value),
@@ -242,12 +236,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--bits", type=int, required=True)
     p_gen.add_argument("--prior", default="uniform",
                        help="'uniform', a bundled name (pihat, prior_a, prior_b) or a file")
-    p_gen.add_argument("--max-bits", type=int, default=5, dest="max_bits")
+    p_gen.add_argument("--max-bits", type=int, default=MAX_BITS_DEFAULT, dest="max_bits")
     p_gen.add_argument("--out", required=True)
     p_an = pwd_sub.add_parser("analyze", help="payoff table and equilibrium")
     p_an.add_argument("--bits", type=int, required=True)
     p_an.add_argument("--prior", default="uniform")
-    p_an.add_argument("--max-bits", type=int, default=5, dest="max_bits")
+    p_an.add_argument("--max-bits", type=int, default=MAX_BITS_DEFAULT, dest="max_bits")
     p_an.add_argument("--table", help="write the payoff table as CSV here")
     p_tm = pwd_sub.add_parser("timing", help="expected iteration counts")
     p_tm.add_argument("--bits", type=int, required=True)

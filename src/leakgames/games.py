@@ -3,7 +3,9 @@
 A leakage game fixes defender actions, attacker actions, one channel
 per action pair, a prior and a vulnerability measure.  The payoff of a
 pure profile (d, a) is the posterior vulnerability of the channel
-C[d, a]; the attacker maximises it, the defender minimises it.
+C[d, a]; the attacker maximises it, the defender minimises it.  So a
+game is held as one array C[d, a, x, y], a prior vector and a gain
+matrix (see LeakageGame).
 
 Seven solve modes cover the order-of-play / visibility grid:
 
@@ -27,9 +29,9 @@ and pure argmin/argmax.  Hidden-choice payoffs are convex in the
 defender's mixture, handled by leakgames.minimax.solve_convex_linear_game
 (the epigraph LP or its dual, whichever is smaller).
 
-Tie-breaking everywhere: lowest action in label order.  The inputs are
-immutable; the arrays and LP solutions the solvers derive from them
-are cached on the game on first use (see LeakageGame).
+Tie-breaking everywhere: lowest action in label order.  The actions
+are stored in that order, so it is the first index np.argmin and
+np.argmax return.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .channels import Channel
-from .errors import SolverError, TypeMismatch, UnknownAction
+from .channels import Channel, stochastic
+from .errors import DuplicateIndex, SolverError, TypeMismatch, UnknownAction
 from .labels import label_key
 from .matrix import LabeledMatrix, sorted_labels
 from .minimax import (
@@ -48,82 +50,117 @@ from .minimax import (
     solve_convex_linear_game,
     solve_matrix_game,
 )
-from .vuln import Prior, VulnMeasure, posterior_vuln
+from .vuln import Prior, VulnMeasure
 
 KINDS = ("I", "II", "III", "IV", "V", "VI_mixed", "VI_behavioral")
 
 
 class LeakageGame:
-    """Immutable bundle of actions, channels, prior and measure.
+    """A leakage game held as arrays, built once at construction.
 
-    What the solvers derive from it is built on first use and kept: the
-    payoff table, each attacker action's epigraph pieces, the hidden
-    simultaneous game's LP solution, which IV and its alias V share,
-    and the per-action LP solutions, which VI_behavioral and VI_mixed
-    share.
+    ``tensor[d, a, x, y]`` is the channel of profile (d, a): actions in
+    label order, ``secrets`` in the prior's, ``observables`` the sorted
+    union of all profiles' outputs (zero where a profile lacks one).
+    ``declared[d, a, y]`` marks each profile's own outputs; ``gain[w, x]``
+    is the measure's gain matrix, the identity for Bayes.  All are
+    read-only.  The LP solutions of IV (also V's) and of each attacker
+    action (both VI modes') are kept on first use.
     """
 
-    __slots__ = ("defenders", "attackers", "channels", "prior", "measure",
-                 "_payoffs", "_pieces", "_hidden", "_per_action")
+    __slots__ = ("defenders", "attackers", "secrets", "observables", "tensor",
+                 "declared", "gain", "prior", "measure", "_hidden", "_per_action")
 
     def __init__(self, defenders, attackers, channels: Mapping, prior: Prior,
                  measure: VulnMeasure):
-        self.defenders = sorted_labels(defenders)
-        self.attackers = sorted_labels(attackers)
-        self.channels = dict(channels)
-        self.prior = prior
-        self.measure = measure
-        secrets = set(prior.labels)
-        for d in self.defenders:
-            for a in self.attackers:
-                if (d, a) not in self.channels:
-                    raise UnknownAction(f"no channel for profile ({d!r}, {a!r})")
-                ch = self.channels[d, a]
-                if set(ch.secrets) != secrets:
-                    raise TypeMismatch(
-                        f"channel ({d!r}, {a!r}) has secrets {sorted(map(str, ch.secrets))}, "
-                        f"prior has {sorted(map(str, prior.labels))}")
-        measure.check_secrets(prior.labels)
-        self._payoffs = None
-        self._pieces = {}
-        self._hidden = None
-        self._per_action = None
+        """One ``Channel`` per profile, keyed ``(d, a)``."""
+        defenders, attackers = sorted_labels(defenders), sorted_labels(attackers)
+        profiles = [(d, a) for d in defenders for a in attackers]
+        stray = set(channels).symmetric_difference(profiles)
+        if stray:
+            raise UnknownAction("profiles without a channel or channels without a "
+                                f"profile: {sorted(stray, key=str)}")
+        observables = sorted_labels({y for ch in channels.values() for y in ch.observables})
+        column = {y: k for k, y in enumerate(observables)}
+        tensor = np.zeros((len(defenders), len(attackers), len(prior.labels), len(observables)))
+        declared = np.zeros(tensor.shape[:2] + tensor.shape[3:], dtype=bool)
+        for k, (d, a) in enumerate(profiles):
+            ch, at = channels[d, a], np.unravel_index(k, tensor.shape[:2])
+            if set(ch.secrets) != set(prior.labels):
+                raise TypeMismatch(
+                    f"channel ({d!r}, {a!r}) has secrets {sorted(map(str, ch.secrets))}, "
+                    f"prior has {sorted(map(str, prior.labels))}")
+            cols = [column[y] for y in ch.observables]
+            tensor[at][:, cols] = (ch.data if ch.secrets == prior.labels
+                                   else ch.matrix.align_to(prior.labels).data)
+            declared[at][cols] = True
+        self._fill(defenders, attackers, observables, tensor, declared, prior, measure)
 
-    def pieces(self, a) -> np.ndarray:
-        """The epigraph pieces of attacker action ``a`` (see
-        ``hidden_branch_pieces``), built once."""
-        cached = self._pieces.get(a)
-        return cached if cached is not None else hidden_branch_pieces(self, a)
+    @classmethod
+    def from_tensor(cls, defenders, attackers, secrets, observables, tensor,
+                    prior: Prior, measure: VulnMeasure) -> "LeakageGame":
+        """A game whose ``tensor[d, a, x, y]`` lists the given labels in
+        their order, every profile declaring every observable.  All
+        profiles go through one stochastic check."""
+        labels = defenders, attackers, secrets, observables = tuple(
+            map(tuple, (defenders, attackers, secrets, observables)))
+        if secrets != prior.labels:
+            raise TypeMismatch(f"channel secrets {list(secrets)} are not the prior's")
+        if np.shape(tensor) != tuple(map(len, labels)):
+            raise ValueError(f"tensor shape {np.shape(tensor)} does not match the labels")
+        tensor = stochastic(tensor, lambda i: f"row {secrets[i[2]]!r} of channel "
+                                              f"({defenders[i[0]]!r}, {attackers[i[1]]!r})")
+        game = cls.__new__(cls)
+        game._fill(defenders, attackers, observables, tensor,
+                   np.ones(tensor.shape[:2] + tensor.shape[3:], dtype=bool), prior, measure)
+        return game
+
+    def _fill(self, defenders, attackers, observables, tensor, declared, prior, measure):
+        for role, labels in (("defender", defenders), ("attacker", attackers),
+                             ("observable", observables)):
+            if any(label_key(x) >= label_key(y) for x, y in zip(labels, labels[1:])):
+                raise DuplicateIndex(f"{role} labels {list(labels)} repeat or are out of order")
+        if measure.is_custom:
+            raise TypeError("a leakage game needs a gain-based measure; custom "
+                            "convex evaluators serve measurement only")
+        measure.check_secrets(prior.labels)
+        self.defenders, self.attackers, self.observables = defenders, attackers, observables
+        self.secrets, self.prior, self.measure = prior.labels, prior, measure
+        self.tensor, self.declared, self.gain = tensor, declared, measure.gain_matrix(prior.labels)
+        for arr in (tensor, declared, self.gain):
+            arr.setflags(write=False)
+        self._hidden = self._per_action = None
 
     def channel(self, d, a) -> Channel:
-        try:
-            return self.channels[d, a]
-        except KeyError:
-            raise UnknownAction(f"unknown profile ({d!r}, {a!r})") from None
+        """Profile (d, a)'s channel over its own outputs, rebuilt from the tensor."""
+        i, j = _index(self.defenders, d), _index(self.attackers, a)
+        own = self.declared[i, j]
+        cols = [y for y, kept in zip(self.observables, own) if kept]
+        return Channel(LabeledMatrix(self.secrets, cols, self.tensor[i, j][:, own]))
 
     def check_hidden_typing(self):
         """Hidden-choice games need, per attacker action, one output type
         shared by all defender actions."""
-        for a in self.attackers:
-            first = self.channel(self.defenders[0], a)
-            for d in self.defenders[1:]:
-                if not self.channel(d, a).same_type(first):
-                    raise TypeMismatch(
-                        f"hidden choice ill-typed: channel ({d!r}, {a!r}) does not "
-                        f"share the output set of ({self.defenders[0]!r}, {a!r})")
+        differs = (self.declared != self.declared[0]).any(axis=2)      # [d, a]
+        if differs.any():
+            j, i = np.argwhere(differs.T)[0]
+            d, a, first = self.defenders[i], self.attackers[j], self.defenders[0]
+            raise TypeMismatch(f"hidden choice ill-typed: channel ({d!r}, {a!r}) does not "
+                               f"share the output set of ({first!r}, {a!r})")
 
 
-def pure_payoff(game: LeakageGame, d, a) -> float:
-    """Posterior vulnerability of the channel picked by the pure profile."""
-    return posterior_vuln(game.measure, game.prior, game.channel(d, a))
+def _index(labels: tuple, label) -> int:
+    try:
+        return labels.index(label)
+    except ValueError:
+        raise UnknownAction(f"unknown action {label!r}") from None
 
 
 def payoff_matrix(game: LeakageGame) -> LabeledMatrix:
-    """Pure-profile payoffs, defenders as rows; kept on the game."""
-    if game._payoffs is None:
-        data = [[pure_payoff(game, d, a) for a in game.attackers] for d in game.defenders]
-        game._payoffs = LabeledMatrix(game.defenders, game.attackers, data)
-    return game._payoffs
+    """Pure-profile payoffs, defenders as rows: the posterior vulnerability
+    sum_y max_w sum_x pi(x) C_da(x, y) g(w, x) of every profile at once."""
+    joint = game.prior.weights[:, None] * game.tensor            # [d, a, x, y]
+    scores = joint if game.measure.is_bayes else game.gain @ joint
+    return LabeledMatrix(game.defenders, game.attackers, scores.max(axis=2).sum(axis=2))
 
 
 @dataclass
@@ -137,48 +174,56 @@ class GameSolution:
     def recompute_value(self, game: LeakageGame) -> float:
         """Re-derive the value from the returned strategies via the
         mode's own payoff formula (consistency check)."""
-        return _recompute(self, game)
-
-
-def _argmin(labels, score):
-    best = min(score(x) for x in labels)
-    return next(x for x in sorted(labels, key=label_key) if score(x) == best)
-
-
-def _argmax(labels, score):
-    best = max(score(x) for x in labels)
-    return next(x for x in sorted(labels, key=label_key) if score(x) == best)
+        kind = self.kind
+        if kind in ("I", "II", "III"):
+            u = payoff_matrix(game)
+        if kind == "I":
+            delta = np.array([self.defender["dist"][d] for d in game.defenders])
+            alpha = np.array([self.attacker["dist"][a] for a in game.attackers])
+            return float(delta @ u.data @ alpha)
+        if kind == "II":
+            d = self.defender["action"]
+            return u.at(d, self.attacker["map"][d])
+        if kind == "III":
+            a = self.attacker["action"]
+            return u.at(self.defender["map"][a], a)
+        if kind in ("IV", "V"):
+            delta = np.array([self.defender["dist"][d] for d in game.defenders])
+            alpha = self.attacker["dist"]
+            return float(sum(alpha[a] * hidden_mixture_value(game, a, delta)
+                             for a in game.attackers))
+        if kind == "VI_mixed":
+            order = self.defender["function_order"]
+            marg = mixed_to_behavioral(self.defender["dist"], order, game.defenders)
+            a = self.attacker["action"]
+            delta = np.array([marg[a][d] for d in game.defenders])
+            total = delta.sum()
+            delta = delta / total if total else delta
+            return float(hidden_mixture_value(game, a, delta))
+        if kind == "VI_behavioral":
+            a = self.attacker["action"]
+            delta = np.array([self.defender["map"][a][d] for d in game.defenders])
+            return float(hidden_mixture_value(game, a, delta))
+        raise ValueError(f"unknown kind {kind!r}")
 
 
 def hidden_branch_pieces(game: LeakageGame, a) -> np.ndarray:
     """Epigraph pieces of delta -> posterior vuln of the delta-mixture
     of the column ``a`` channels: k[y, w, d] = sum_x pi(x) C_da(x, y) g(w, x).
 
-    Rows and columns follow the first defender's channel.  The array is
-    read-only, C-contiguous and kept on the game: later calls for the
-    same ``a`` return the same object.
+    Rows run over the observables some channel of the column declares,
+    in label order.  The array is C-contiguous.
     """
-    cached = game._pieces.get(a)
-    if cached is not None:
-        return cached
-    chans = [game.channel(d, a) for d in game.defenders]
-    ref = chans[0]
-    pi = game.prior.aligned(ref.secrets)
-    G = game.measure.gain_matrix(ref.secrets)
-    stack = np.stack([
-        ch.data if ch.secrets == ref.secrets and ch.observables == ref.observables
-        else ch.matrix.align_to(ref.secrets, ref.observables).data
-        for ch in chans])                                    # |D| x |X| x |Y|
-    k = G @ (pi[:, None] * stack)                            # |D| x |W| x |Y|
-    k = np.ascontiguousarray(k.transpose(2, 1, 0))           # |Y| x |W| x |D|
-    k.setflags(write=False)
-    game._pieces[a] = k
-    return k
+    j = _index(game.attackers, a)
+    cols = game.declared[:, j].any(axis=0)
+    joint = game.prior.weights[:, None] * game.tensor[:, j][:, :, cols]  # |D| x |X| x |Y|
+    k = game.gain @ joint                                                  # |D| x |W| x |Y|
+    return np.ascontiguousarray(k.transpose(2, 1, 0))                      # |Y| x |W| x |D|
 
 
 def hidden_mixture_value(game: LeakageGame, a, delta: np.ndarray) -> float:
     """Posterior vulnerability of the hidden delta-mixture against pure a."""
-    return branch_value(game.pieces(a), delta)
+    return branch_value(hidden_branch_pieces(game, a), delta)
 
 
 def solve(game: LeakageGame, kind: str) -> GameSolution:
@@ -205,8 +250,7 @@ def solve(game: LeakageGame, kind: str) -> GameSolution:
 
 
 def _solve_visible_simultaneous(game: LeakageGame) -> GameSolution:
-    u = payoff_matrix(game)
-    sol = solve_matrix_game(u)
+    sol = solve_matrix_game(payoff_matrix(game))
     return GameSolution(
         kind="I",
         value=sol.value,
@@ -217,44 +261,49 @@ def _solve_visible_simultaneous(game: LeakageGame) -> GameSolution:
 
 
 def _solve_defender_first_visible(game: LeakageGame) -> GameSolution:
-    u = payoff_matrix(game)
-    worst = {d: max(u.at(d, a) for a in game.attackers) for d in game.defenders}
-    d_star = _argmin(game.defenders, worst.__getitem__)
-    reply = {d: _argmax(game.attackers, lambda a, d=d: u.at(d, a)) for d in game.defenders}
-    value = u.at(d_star, reply[d_star])
+    u = payoff_matrix(game).data
+    worst = u.max(axis=1)
+    i = int(np.argmin(worst))           # actions are sorted: ties go to the lowest label
+    d_star = game.defenders[i]
+    reply = dict(zip(game.defenders, (game.attackers[j] for j in u.argmax(axis=1))))
+    value = float(worst[i])
     behavioral = {d: {reply[d]: 1.0} for d in game.defenders}
     # the pure follower reply and its one-point behavioural form must agree
-    if abs(value - sum(p * u.at(d_star, a) for a, p in behavioral[d_star].items())) > 1e-12:
+    if abs(value - sum(p * u[i, game.attackers.index(a)]
+                       for a, p in behavioral[d_star].items())) > 1e-12:
         raise SolverError("defender-first solution failed its consistency identity")
     return GameSolution(
         kind="II",
         value=value,
         defender={"type": "pure", "action": d_star},
         attacker={"type": "function", "map": reply, "behavioral": behavioral},
-        diagnostics={"solver": "pure minimax scan", "worst_case": worst},
+        diagnostics={"solver": "pure minimax scan",
+                     "worst_case": dict(zip(game.defenders, worst))},
     )
 
 
 def _solve_attacker_first_visible(game: LeakageGame) -> GameSolution:
-    u = payoff_matrix(game)
-    best = {a: min(u.at(d, a) for d in game.defenders) for a in game.attackers}
-    a_star = _argmax(game.attackers, best.__getitem__)
-    reply = {a: _argmin(game.defenders, lambda d, a=a: u.at(d, a)) for a in game.attackers}
-    value = u.at(reply[a_star], a_star)
+    u = payoff_matrix(game).data
+    best = u.min(axis=0)
+    j = int(np.argmax(best))
+    a_star = game.attackers[j]
+    reply = dict(zip(game.attackers, (game.defenders[i] for i in u.argmin(axis=0))))
     behavioral = {a: {reply[a]: 1.0} for a in game.attackers}
     return GameSolution(
         kind="III",
-        value=value,
+        value=float(best[j]),
         defender={"type": "function", "map": reply, "behavioral": behavioral},
         attacker={"type": "pure", "action": a_star},
-        diagnostics={"solver": "pure maximin scan", "best_case": best},
+        diagnostics={"solver": "pure maximin scan",
+                     "best_case": dict(zip(game.attackers, best))},
     )
 
 
 def _solve_hidden_simultaneous(game: LeakageGame) -> GameSolution:
     if game._hidden is None:
         game.check_hidden_typing()
-        game._hidden = solve_convex_linear_game([game.pieces(a) for a in game.attackers])
+        game._hidden = solve_convex_linear_game(
+            [hidden_branch_pieces(game, a) for a in game.attackers])
     sol = game._hidden
     return GameSolution(
         kind="IV",
@@ -271,11 +320,11 @@ def _attacker_first_hidden(game: LeakageGame):
     per-action minima and the attacker's best action."""
     if game._per_action is None:
         game.check_hidden_typing()
-        game._per_action = {a: solve_convex_linear_game([game.pieces(a)])
+        game._per_action = {a: solve_convex_linear_game([hidden_branch_pieces(game, a)])
                             for a in game.attackers}
     sols = game._per_action
     minima = {a: sol.value for a, sol in sols.items()}
-    return sols, minima, _argmax(game.attackers, minima.__getitem__)
+    return sols, minima, game.attackers[int(np.argmax(list(minima.values())))]
 
 
 def _solve_attacker_first_hidden_mixed(game: LeakageGame) -> GameSolution:
@@ -347,42 +396,6 @@ def mixed_to_behavioral(sigma: Mapping[tuple, float], attackers, defenders) -> d
         for a, d in zip(attackers, func):
             out[a][d] += w
     return out
-
-
-def _recompute(solution: GameSolution, game: LeakageGame) -> float:
-    kind = solution.kind
-    if kind in ("I", "II", "III"):
-        u = payoff_matrix(game)
-    if kind == "I":
-        delta = solution.defender["dist"]
-        alpha = solution.attacker["dist"]
-        return float(sum(delta[d] * alpha[a] * u.at(d, a)
-                         for d in game.defenders for a in game.attackers))
-    if kind == "II":
-        d = solution.defender["action"]
-        return float(u.at(d, solution.attacker["map"][d]))
-    if kind == "III":
-        a = solution.attacker["action"]
-        return float(u.at(solution.defender["map"][a], a))
-    if kind in ("IV", "V"):
-        delta = np.array([solution.defender["dist"][d] for d in game.defenders])
-        alpha = solution.attacker["dist"]
-        return float(sum(alpha[a] * hidden_mixture_value(game, a, delta)
-                         for a in game.attackers))
-    if kind == "VI_mixed":
-        order = solution.defender["function_order"]
-        sigma = {f: w for f, w in solution.defender["dist"].items()}
-        marg = mixed_to_behavioral(sigma, order, game.defenders)
-        a = solution.attacker["action"]
-        delta = np.array([marg[a][d] for d in game.defenders])
-        total = delta.sum()
-        delta = delta / total if total else delta
-        return float(hidden_mixture_value(game, a, delta))
-    if kind == "VI_behavioral":
-        a = solution.attacker["action"]
-        delta = np.array([solution.defender["map"][a][d] for d in game.defenders])
-        return float(hidden_mixture_value(game, a, delta))
-    raise ValueError(f"unknown kind {kind!r}")
 
 
 @dataclass

@@ -37,21 +37,6 @@ class LabeledMatrix:
         self._row_index = {r: i for i, r in enumerate(rows)}
         self._col_index = {c: i for i, c in enumerate(cols)}
 
-    def with_data(self, data) -> "LabeledMatrix":
-        """A matrix with this one's labels and new data of the same shape.
-
-        The labels were checked when this matrix was built, so the new
-        one shares its label tuples and index maps; only the data is
-        checked and copied.
-        """
-        out = LabeledMatrix.__new__(LabeledMatrix)
-        out.rows = self.rows
-        out.cols = self.cols
-        out.data = _checked_data(data, len(self.rows), len(self.cols))
-        out._row_index = self._row_index
-        out._col_index = self._col_index
-        return out
-
     def at(self, row: Label, col: Label) -> float:
         return float(self.data[self._row_index[row], self._col_index[col]])
 

@@ -108,7 +108,6 @@ def solve_matrix_game(payoff) -> MatrixGameSolution:
         diagnostics={
             "gap": sol.gap, "iterations": sol.iterations,
             "minimax_residual": max(abs(upper - value), abs(lower - value)),
-            "kernel": sol.kernel,
         },
     )
 
@@ -361,7 +360,7 @@ def solve_convex_linear_game(pieces) -> ConvexGameSolution:
         diagnostics={
             "gap": sol.gap, "iterations": sol.iterations,
             "lp_rows": len(lp.rows), "lp_cols": lp.n_vars,
-            "kernel": sol.kernel, "formulation": formulation,
+            "formulation": formulation,
             "pieces_total": sum(p.shape[0] * p.shape[1] for p in arrays),
             "pieces_kept": int(kept.k.shape[0]),
         },

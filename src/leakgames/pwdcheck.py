@@ -27,9 +27,8 @@ import numpy as np
 
 from .channels import Channel
 from .errors import BadPermutation, TooLarge
-from .games import LeakageGame, solve
+from .games import LeakageGame, hidden_mixture_value, solve
 from .matrix import LabeledMatrix
-from .minimax import branch_value
 from .vuln import Prior, VulnMeasure
 
 MAX_BITS_DEFAULT = 5
@@ -115,10 +114,8 @@ def build_game(n: int, prior: Prior, measure: VulnMeasure | None = None,
     # observable column: k - 1 for F@k at the first mismatch k, n for T@n
     column = np.where(mismatch.any(axis=3), mismatch.argmax(axis=3), n)
     blocks = np.eye(n + 1)[column.transpose(2, 0, 1)]                   # [d, a, x, y]
-    template = LabeledMatrix(lows, observable_labels(n), blocks[0, 0])
-    channels = {(d, a): Channel(template.with_data(blocks[i, j]))
-                for i, d in enumerate(orders) for j, a in enumerate(lows)}
-    return LeakageGame(orders, lows, channels, prior, measure)
+    return LeakageGame.from_tensor(orders, lows, lows, observable_labels(n), blocks,
+                                   prior, measure)
 
 
 def expected_iterations(n: int) -> float:
@@ -178,8 +175,7 @@ def verify_uniform_equilibrium(n: int, payoff_tol: float = 1e-9,
     game = build_game(n, Prior.uniform(secret_labels(n)), VulnMeasure.bayes(),
                       max_bits=max_bits)
     delta = np.full(len(game.defenders), 1.0 / len(game.defenders))
-    payoffs = {a: branch_value(game.pieces(a), delta)
-               for a in game.attackers}
+    payoffs = {a: hidden_mixture_value(game, a, delta) for a in game.attackers}
     vals = np.array(list(payoffs.values()))
     spread = float(vals.max() - vals.min())
     lp_value = solve(game, "IV").value

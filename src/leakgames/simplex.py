@@ -32,7 +32,7 @@ from .errors import SolverError
 log = logging.getLogger(__name__)
 
 _kernel = _kernel_py
-KERNEL_NAME = "python"
+KERNEL_NAME = "python"      # reported by perfbench/worker.py's environment record
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-8
@@ -93,7 +93,6 @@ class LPSolution:
     gap: float | None = None
     max_residual: float | None = None
     iterations: int = 0
-    kernel: str = KERNEL_NAME
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -302,7 +301,7 @@ def lp_solve(lp: LinearProgram, max_iter: int | None = None) -> LPSolution:
     return LPSolution(
         status="optimal", x=x, duals=duals, objective=objective,
         gap=gap, max_residual=residual, iterations=iterations,
-        diagnostics={"rows": len(lp.rows), "cols": n, "kernel": KERNEL_NAME},
+        diagnostics={"rows": len(lp.rows), "cols": n},
     )
 
 

@@ -38,8 +38,8 @@ class Prior:
             raise ValueError("empty prior")
         labels = sorted_labels(weights.keys())
         w = np.array([float(weights[x]) for x in labels])
-        if w.min() < -1e-9:
-            raise ValueError("negative prior weight")
+        if not (np.isfinite(w).all() and w.min() >= -1e-9):
+            raise ValueError("prior weights must be finite and nonnegative")
         total = w.sum()
         if abs(total - 1.0) > 1e-2:
             raise ValueError(f"prior weights sum to {total:.6g}; refusing to renormalise")
@@ -82,6 +82,8 @@ class GainFunction:
         g = np.array(gain, dtype=float)
         if g.shape != (len(guesses), len(secrets)):
             raise ValueError("gain matrix shape does not match labels")
+        if not np.isfinite(g).all():
+            raise ValueError("gain entries must be finite")
         g.setflags(write=False)
         return GainFunction(guesses, secrets, g)
 
@@ -105,9 +107,9 @@ class VulnMeasure:
     simply skips materialising the identity matrix.
 
     The custom variant carries an arbitrary convex function of the
-    posterior distribution (in sorted secret-label order).  It is
-    accepted by the measurement functions here but not by the LP-based
-    game solvers, which need the piecewise-linear max-of-gains shape.
+    posterior distribution (in sorted secret-label order).  It serves
+    measurement only: a leakage game needs the piecewise-linear
+    max-of-gains shape, so ``LeakageGame`` refuses it with TypeError.
     """
 
     __slots__ = ("variant", "gain_fn", "evaluator")

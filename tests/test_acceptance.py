@@ -263,7 +263,7 @@ def test_c05_hierarchy_orderings():
     g = demo_game()
     iii, iv = solve(g, "III").value, solve(g, "IV").value
     pair_one = abs(iii - 2 / 3) <= 1e-8 and abs(iv - 5 / 7) <= 1e-8 and iii < iv
-    chans = {k: g.channel(*k) for k in g.channels}
+    chans = {(d, a): g.channel(d, a) for d in g.defenders for a in g.attackers}
     chans[("1", "1")] = channel("01", "01", [[0, 1], [1, 0]])
     flipped = LeakageGame(("0", "1"), ("0", "1"), chans,
                           Prior.uniform("01"), VulnMeasure.bayes())

@@ -32,6 +32,13 @@ def test_channel_validation():
     assert np.allclose(c.data.sum(axis=1), 1.0, atol=0)
 
 
+def test_channel_validation_rejects_non_finite_entries():
+    # NaN fails every comparison, so it needs its own check
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            channel("01", "01", [[bad, 1.0], [0.5, 0.5]])
+
+
 def test_channel_validation_names_the_bad_rows_sum():
     with pytest.raises(ValueError, match=r"^row '0' sums to 0\.5, expected 1$"):
         channel("01", "01", [[0.5, 0], [0, 1]])
@@ -47,6 +54,12 @@ def test_index_distribution():
         IndexDistribution({"a": -0.2, "b": 1.2})
     with pytest.raises(BadDistribution):
         IndexDistribution.binary(1.5)
+
+
+def test_index_distribution_rejects_non_finite_weights():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(BadDistribution, match="finite"):
+            IndexDistribution({"a": bad, "b": 1.0})
 
 
 def test_hidden_choice_table():

@@ -7,7 +7,6 @@ import pytest
 from conftest import demo_game
 from leakgames import jsonio
 from leakgames.cli import main
-from leakgames.pwdcheck import secret_labels
 
 
 def run(capsys, *args):
@@ -136,6 +135,19 @@ def test_channel_validate(capsys, tmp_path, mix_files):
                                "kind": "channel"}))
     code, _, err = run(capsys, "channel", "validate", str(bad))
     assert code == 1
+    nan = tmp_path / "nan.json"
+    nan.write_text(json.dumps({"rows": ["a", "b"], "cols": ["y", "z"],
+                               "data": [[float("nan"), 1.0], [0.5, 0.5]],
+                               "kind": "channel"}))
+    code, out, err = run(capsys, "channel", "validate", str(nan))
+    assert code == 1 and out == "" and "finite" in err
+
+
+def test_vuln_rejects_non_finite_prior(capsys, tmp_path, mix_files):
+    prior = tmp_path / "prior.json"
+    prior.write_text(json.dumps({"weights": {"x1": float("nan"), "x2": 0.5}}))
+    code, out, err = run(capsys, "vuln", "--prior", str(prior), "--channel", mix_files["c1"])
+    assert code == 1 and out == "" and "finite" in err
 
 
 def test_vuln_table(capsys, tmp_path):
@@ -200,6 +212,21 @@ def test_game_audit_of_3bit_checker(capsys, tmp_path):
     assert report["values"]["VI_mixed"] == report["values"]["VI_behavioral"]
 
 
+@pytest.mark.parametrize("edit", ["repeat defender", "extra channel"])
+def test_game_with_repeated_or_unknown_actions_is_an_error(capsys, tmp_path, edit):
+    obj = jsonio.game_to_json(demo_game())
+    if edit == "repeat defender":
+        obj["defender"].append("1")
+    else:
+        obj["channels"]["7|0"] = obj["channels"]["0|0"]
+    path = tmp_path / "game.json"
+    jsonio.dump(obj, path)
+    for argv in (["game", "solve", "--kind", "IV", str(path)], ["game", "audit", str(path)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert ("repeat or are out of order" if edit == "repeat defender" else "'7'") in err
+
+
 def test_game_audit(capsys, demo_file):
     code, out, _ = run(capsys, "game", "audit", demo_file)
     assert code == 0
@@ -245,20 +272,25 @@ def test_pwd_analyze_builds_payoff_table_only_on_request(capsys, monkeypatch):
     assert json.loads(out)["value"] == pytest.approx(0.6573, abs=2e-3)
 
 
-def test_pwd_analyze_builds_each_attackers_pieces_once(capsys, monkeypatch):
+def test_pwd_analyze_builds_no_channel_and_one_lp(capsys, monkeypatch):
     import leakgames.games as games
+    from leakgames.channels import Channel
 
-    built = Counter()
-    original = games.hidden_branch_pieces
+    calls = Counter()
 
-    def counting(game, a):
-        built[a] += 1
-        return original(game, a)
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
 
-    monkeypatch.setattr(games, "hidden_branch_pieces", counting)
+    monkeypatch.setattr(Channel, "__init__", counting("channels", Channel.__init__))
+    monkeypatch.setattr(games, "solve_convex_linear_game",
+                        counting("convex", games.solve_convex_linear_game))
     code, _, _ = run(capsys, "pwd", "analyze", "--bits", "3")
     assert code == 0
-    assert built == Counter(secret_labels(3))
+    # the checker goes in as one tensor, and IV is one convex LP
+    assert calls == Counter({"convex": 1})
 
 
 def test_pwd_analyze_prior_a(capsys):

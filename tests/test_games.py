@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import channel, demo_game, random_game, random_measure, random_prior
-from leakgames.errors import TypeMismatch, UnknownAction
+from leakgames.channels import Channel
+from leakgames.errors import DuplicateIndex, TypeMismatch, UnknownAction
 from leakgames.games import (
     KINDS,
     LeakageGame,
@@ -16,12 +17,11 @@ from leakgames.games import (
     hidden_mixture_value,
     mixed_to_behavioral,
     payoff_matrix,
-    pure_payoff,
     quantile_coupling,
     solve,
 )
 from leakgames.minimax import branch_value
-from leakgames.vuln import Prior, VulnMeasure
+from leakgames.vuln import Prior, VulnMeasure, posterior_vuln
 
 
 def test_pure_payoffs_demo(game2x2):
@@ -31,14 +31,28 @@ def test_pure_payoffs_demo(game2x2):
     assert u.at("1", "0") == pytest.approx(1.0)
     assert u.at("1", "1") == pytest.approx(2 / 3)
     with pytest.raises(UnknownAction):
-        pure_payoff(game2x2, "7", "0")
+        game2x2.channel("7", "0")
+    with pytest.raises(UnknownAction):
+        hidden_branch_pieces(game2x2, "7")
+
+
+def test_payoffs_equal_each_profiles_posterior_vulnerability():
+    # the loop reference: one posterior_vuln call per rebuilt channel
+    rng = np.random.default_rng(22)
+    for _ in range(40):
+        g = random_game(rng)
+        u = payoff_matrix(g)
+        for d in g.defenders:
+            for a in g.attackers:
+                ref = posterior_vuln(g.measure, g.prior, g.channel(d, a))
+                assert u.at(d, a) == pytest.approx(ref, abs=1e-12)
 
 
 def test_noninterferent_payoff():
     flat = channel("ab", "01", [[0.3, 0.7], [0.3, 0.7]])
     g = LeakageGame(("d",), ("a",), {("d", "a"): flat},
                     Prior({"a": 0.6, "b": 0.4}), VulnMeasure.bayes())
-    assert pure_payoff(g, "d", "a") == pytest.approx(0.6)
+    assert payoff_matrix(g).at("d", "a") == pytest.approx(0.6)
 
 
 def test_game_construction_checks():
@@ -49,6 +63,38 @@ def test_game_construction_checks():
     with pytest.raises(TypeMismatch):
         LeakageGame(("0",), ("0",), {("0", "0"): flat},
                     Prior.uniform(("p", "q")), VulnMeasure.bayes())
+
+
+def test_game_rejects_repeated_and_unknown_actions():
+    flat = channel("ab", "01", [[0.5, 0.5], [0.5, 0.5]])
+    chans = {(d, a): flat for d in "01" for a in "01"}
+    prior, bayes = Prior.uniform("ab"), VulnMeasure.bayes()
+    with pytest.raises(DuplicateIndex):
+        LeakageGame(("0", "1", "1"), ("0", "1"), chans, prior, bayes)
+    with pytest.raises(DuplicateIndex):
+        LeakageGame(("0", "1"), ("0", "0", "1"), chans, prior, bayes)
+    with pytest.raises(UnknownAction):
+        LeakageGame(("0", "1"), ("0", "1"), {**chans, ("7", "0"): flat}, prior, bayes)
+
+
+def test_tensor_games_check_every_profile_at_once():
+    blocks = np.zeros((2, 1, 2, 2))
+    blocks[..., 0] = 1.0
+    args = (("0", "1"), ("a",), ("x", "y"), ("u", "v"))
+    prior, bayes = Prior.uniform("xy"), VulnMeasure.bayes()
+    g = LeakageGame.from_tensor(*args, blocks, prior, bayes)
+    assert g.declared.all() and g.channel("1", "a").observables == ("u", "v")
+    bad = blocks.copy()
+    bad[1, 0, 1, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        LeakageGame.from_tensor(*args, bad, prior, bayes)
+    bad[1, 0, 1, 0] = 0.5
+    with pytest.raises(ValueError, match=r"^row 'y' of channel \('1', 'a'\) sums to 0\.5"):
+        LeakageGame.from_tensor(*args, bad, prior, bayes)
+    with pytest.raises(TypeMismatch):
+        LeakageGame.from_tensor(*args, blocks, Prior.uniform("pq"), bayes)
+    with pytest.raises(DuplicateIndex):
+        LeakageGame.from_tensor(("1", "0"), *args[1:], blocks, prior, bayes)
 
 
 def test_solve_demo_values(game2x2):
@@ -239,7 +285,7 @@ def test_audit_identical_channels():
     g = LeakageGame(("0", "1"), ("0", "1"), chans, Prior.uniform("ab"),
                     VulnMeasure.bayes())
     report = audit_hierarchy(g)
-    base = pure_payoff(g, "0", "0")
+    base = payoff_matrix(g).at("0", "0")
     for kind in KINDS:
         assert report.values[kind] == pytest.approx(base, abs=1e-9)
 
@@ -255,14 +301,16 @@ def test_audit_shares_payoff_table_and_iv_solve(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(games, "pure_payoff", counting("payoffs", games.pure_payoff))
     monkeypatch.setattr(games, "solve_convex_linear_game",
                         counting("convex", games.solve_convex_linear_game))
     g = demo_game()
+    tensor = g.tensor
+    monkeypatch.setattr(Channel, "__init__", counting("channels", Channel.__init__))
     report = audit_hierarchy(g)
-    # one payoff table for I, II and III
-    assert calls["payoffs"] == len(g.defenders) * len(g.attackers)
-    assert payoff_matrix(g) is payoff_matrix(g)
+    # I, II and III read payoffs off the tensor built with the game: no
+    # channel object and no per-profile posterior_vuln call
+    assert calls["channels"] == 0
+    assert g.tensor is tensor and not tensor.flags.writeable
     # IV (V reuses its LP), and one LP per attacker action that VI_mixed
     # and VI_behavioral share
     assert calls["convex"] == 1 + len(g.attackers)
@@ -298,17 +346,27 @@ def test_pieces_align_channels_listed_in_other_orders():
         for a in g.attackers:
             assert np.array_equal(hidden_branch_pieces(reordered, a),
                                   hidden_branch_pieces(g, a))
+        assert np.array_equal(payoff_matrix(reordered).data, payoff_matrix(g).data)
+        for (d, a), ch in chans.items():
+            assert reordered.channel(d, a).matrix.entries_equal(ch.matrix)
 
 
-def test_pieces_are_read_only_and_built_once():
+def test_game_arrays_are_read_only_and_built_once():
     g = random_game(np.random.default_rng(24))
+    arrays = (g.tensor, g.declared, g.gain)
+    assert not any(arr.flags.writeable for arr in arrays)
+    with pytest.raises(ValueError):
+        g.tensor[0, 0, 0, 0] = 1.0
+    for kind in KINDS:
+        solve(g, kind)
+    assert all(now is then for now, then in zip((g.tensor, g.declared, g.gain), arrays))
     for a in g.attackers:
         k = hidden_branch_pieces(g, a)
-        assert not k.flags.writeable and k.flags.c_contiguous
-        assert hidden_branch_pieces(g, a) is k
-        assert g.pieces(a) is k
-        with pytest.raises(ValueError):
-            k[0, 0, 0] = 1.0
+        assert k.flags.c_contiguous
+        for i, d in enumerate(g.defenders):
+            ch = g.channel(d, a)
+            ref = g.gain @ (g.prior.weights[:, None] * ch.data)
+            assert np.allclose(k[:, :, i].T, ref, rtol=0, atol=1e-15)
 
 
 def test_visible_dominates_hidden_pointwise():

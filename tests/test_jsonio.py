@@ -3,7 +3,9 @@ import pytest
 
 from conftest import DEMO_CHANNELS, channel, demo_game, random_channel
 from leakgames import jsonio
-from leakgames.games import LeakageGame
+from leakgames.channels import zero_extend
+from leakgames.errors import TypeMismatch
+from leakgames.games import LeakageGame, solve
 from leakgames.labels import tag
 from leakgames.matrix import LabeledMatrix
 from leakgames.vuln import GainFunction, Prior, VulnMeasure
@@ -93,6 +95,25 @@ def test_game_round_trip_with_bar_in_labels(tmp_path):
     for d in defenders:
         for a in attackers:
             assert np.array_equal(back.channel(d, a).data, g.channel(d, a).data)
+
+
+def test_ill_typed_game_round_trip_keeps_each_profiles_observables(tmp_path):
+    # profile (0, 0) declares an extra all-zero output, so hidden choice
+    # over attacker 0 would reveal the defender's action
+    c01 = channel("01", "01", DEMO_CHANNELS["0", "1"])
+    g = LeakageGame(("0", "1"), ("0",), {("0", "0"): zero_extend(c01), ("1", "0"): c01},
+                    Prior.uniform("01"), VulnMeasure.bayes())
+    path = tmp_path / "game.json"
+    jsonio.dump(jsonio.game_to_json(g), path)
+    obj = jsonio.load(path)
+    assert obj["channels"]["0|0"]["cols"] == ["0", "1", "y0"]
+    assert obj["channels"]["1|0"]["cols"] == ["0", "1"]
+    back = jsonio.game_from_json(obj)
+    assert back.channel("0", "0").observables == ("0", "1", "y0")
+    assert back.channel("1", "0").observables == ("0", "1")
+    for game in (g, back):
+        with pytest.raises(TypeMismatch):
+            solve(game, "IV")
 
 
 def test_game_channel_key_must_be_a_pair():

@@ -113,16 +113,3 @@ def test_data_is_immutable():
     with pytest.raises(ValueError):
         M1.data[0, 0] = 99.0
 
-
-def test_with_data_shares_labels_and_checks_data():
-    m = lm(("a", "b"), ("y",), [[1.0], [2.0]])
-    source = np.array([[3.0], [4.0]])
-    n = m.with_data(source)
-    assert n.rows is m.rows and n.cols is m.cols
-    assert n.at("b", "y") == 4.0
-    source[1, 0] = 9.0
-    assert n.at("b", "y") == 4.0
-    with pytest.raises(ValueError):
-        n.data[0, 0] = 99.0
-    with pytest.raises(ValueError):
-        m.with_data([[1.0, 2.0], [3.0, 4.0]])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from leakgames import jsonio
 from leakgames.errors import BadPermutation, TooLarge
 from leakgames.games import hidden_branch_pieces, payoff_matrix, solve
 from leakgames.matrix import LabeledMatrix
@@ -70,6 +71,17 @@ def test_build_game_channels_match_loop_reference():
                 assert got.secrets == ref.secrets
                 assert got.observables == ref.observables
                 assert np.array_equal(got.data, ref.data), (n, d, a)
+
+
+def test_game_json_matches_loop_reference():
+    n = 3
+    prior = bundled_prior("pihat")
+    game = build_game(n, prior)
+    ref = {"defender": list(order_labels(n)), "attacker": list(secret_labels(n)),
+           "prior": jsonio.prior_to_json(prior), "measure": {"variant": "bayes"},
+           "channels": {f"{d}|{a}": jsonio.channel_to_json(pwd_channel(n, d, a))
+                        for d in order_labels(n) for a in secret_labels(n)}}
+    assert jsonio.dumps(jsonio.game_to_json(game)) == jsonio.dumps(ref)
 
 
 def test_build_game_size_guard_precedes_any_allocation(monkeypatch):

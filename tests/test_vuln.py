@@ -87,6 +87,18 @@ def test_posterior_ignores_zero_probability_columns():
     assert posterior_vuln(BAYES, pi, ch) == pytest.approx(1.0)
 
 
+def test_non_finite_prior_rejected():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Prior({"a": bad, "b": 0.5})
+
+
+def test_non_finite_gain_rejected():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            GainFunction.build(("w",), ("a", "b"), [[1.0, bad]])
+
+
 def test_label_mismatch():
     pi = Prior.uniform(("a", "b"))
     ch = channel("01", "01", [[1, 0], [0, 1]])
@@ -221,12 +233,12 @@ def test_custom_evaluator_extension_point():
 
 
 def test_custom_evaluator_rejected_by_solvers():
-    from leakgames.games import LeakageGame, solve
+    from leakgames.games import LeakageGame
     as_max = VulnMeasure.from_evaluator(lambda v: float(np.max(v)))
     ch = channel("ab", "01", [[1, 0], [0, 1]])
-    g = LeakageGame(("d",), ("a",), {("d", "a"): ch}, Prior.uniform("ab"), as_max)
-    with pytest.raises(TypeError):
-        solve(g, "IV")
+    # measurement only: a game with a custom evaluator is refused when built
+    with pytest.raises(TypeError, match="measurement only"):
+        LeakageGame(("d",), ("a",), {("d", "a"): ch}, Prior.uniform("ab"), as_max)
 
 
 def test_posterior_at_least_prior_for_bayes():
