@@ -1,107 +1,128 @@
-"""Numpy simplex pivot loop, the one kernel behind leakgames.simplex.
+"""Numpy revised-simplex pivot loop, the one kernel behind leakgames.simplex.
 
-The row elimination skips the rows whose elimination factor is zero.
-Subtracting 0 * pivot row would leave an entry unchanged except, at
-most, for the sign of a zero, which no comparison in the loop can see,
-so the pivot path is the same as with a full-tableau update.
+The loop carries ``work = [B^-1 | x_B ; -y | -z]``, (m+1) x (m+1), for
+the basis B: each pivot prices all columns, d = c - yA, forms the
+entering column B^-1 a_j and applies the tableau pivot's row operations
+to ``work`` alone (the tableau is ``work`` times [A | b]).
 
-Pivot selection is Dantzig's most-negative-reduced-cost rule with the
-ratio-test tie broken towards the numerically largest pivot element.
-After STALL_LIMIT consecutive degenerate pivots the loop switches to
-Bland's rule (lowest index, lowest basis tie break), whose finiteness
-guarantee breaks any cycle; one non-degenerate pivot switches back.
-The stall counter lives in ``state`` so it survives tableau refreshes.
-
-Two situations make the loop hand control back to the caller with
-REFRESH instead of pivoting on rotten data: accumulated amplification
-from small pivots, and a small pivot candidate on a tableau that is not
-freshly refactored (entries that small are indistinguishable from
-rounding noise unless the tableau is fresh).
+Entering column: Dantzig's rule (most negative d_j); if its pivot is
+narrow, below SMALL_PIVOT and SMALL_RELATIVE times its column's largest
+entry, the next best columns are tried for a wider one.  Leaving row: Harris's ratio test
+(ratios within HARRIS_TOL of the bound tie), largest pivot, then lowest
+basic index.  After STALL_LIMIT consecutive degenerate pivots, Bland's
+rule (lowest index, exact ties) holds until a non-degenerate pivot; the
+count lives in ``state``, where the caller also sees the stall.  REFRESH
+asks for a reinversion after too much amplification from small pivots,
+or at a tiny pivot on an inverse that is not fresh.  ``dual_pivot``
+repairs an optimal basis whose exact values are infeasible.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-OPTIMAL = 0
-UNBOUNDED = 1
-ITERATION_LIMIT = 2
-REFRESH = 3
+OPTIMAL, UNBOUNDED, ITERATION_LIMIT, REFRESH = range(4)
 
 SMALL_PIVOT = 1e-2
 AMPLIFICATION_CAP = 1e6
 TRUSTED_PIVOT = 1e-8
 DEGENERATE_STEP = 1e-12
 STALL_LIMIT = 40
+HARRIS_TOL = 1e-12
+SMALL_RELATIVE = 1e-6
 
 
-def run_simplex(tableau: np.ndarray, basis: np.ndarray, n_enter: int,
+def run_simplex(work: np.ndarray, basis: np.ndarray, A: np.ndarray, c: np.ndarray,
                 tol: float, max_iter: int, state: np.ndarray) -> tuple[int, int]:
-    """Pivot ``tableau`` in place until optimal or a refresh is due.
-
-    tableau has shape (m+1, n+1): m constraint rows [A | b] with b >= 0,
-    then the reduced-cost row [c_bar | -objective].  ``basis`` holds the
-    basic variable of each constraint row; ``state[0]`` is the running
-    degenerate-pivot count.  The caller refactorises the tableau
-    between calls, so iteration 0 of every call sees fresh data.
-
-    Returns (status, iterations).
-    """
-    m = tableau.shape[0] - 1
-    n = tableau.shape[1] - 1
-    obj = tableau[m]
+    """Pivot ``work`` (for the columns ``basis`` of A, x_B >= 0) and
+    ``basis`` in place until optimal or a refresh is due; the caller
+    reinverts between calls.  Returns (status, iterations)."""
+    m = A.shape[0]
     amplification = 1.0
     for it in range(max_iter):
         if amplification > AMPLIFICATION_CAP:
             return REFRESH, it
+        d = c + work[m, :m] @ A
+        d[basis] = 0.0
         bland = state[0] >= STALL_LIMIT
-        if bland:
-            negative = np.nonzero(obj[:n_enter] < -tol)[0]
-            if negative.size == 0:
-                return OPTIMAL, it
-            j = int(negative[0])
-        else:
-            j = int(np.argmin(obj[:n_enter]))
-            if obj[j] >= -tol:
-                return OPTIMAL, it
-
-        col = tableau[:m, j]
-        rhs = tableau[:m, n]
-        positive = np.nonzero(col > tol)[0]
-        if positive.size == 0:
+        j = int(np.argmax(d < -tol) if bland else np.argmin(d))
+        if d[j] >= -tol:
+            return OPTIMAL, it
+        step = _ratio_test(work, basis, A, d, j, tol, bland)
+        if step is None:
             return UNBOUNDED, it
-        ratios = rhs[positive] / col[positive]
-        ratios = np.where(ratios < 0.0, 0.0, ratios)
-        best = ratios.min()
-        ties = positive[ratios == best]
-        if bland:
-            r = int(ties[np.argmin(basis[ties])])
-        else:
-            vals = col[ties]
-            widest = ties[vals == vals.max()]
-            r = int(widest[np.argmin(basis[widest])])
+        if not bland and step[3]:
+            improving = np.flatnonzero(d < -tol)
+            for k in improving[np.argsort(d[improving], kind="stable")][1:]:
+                other = _ratio_test(work, basis, A, d, int(k), tol, bland)
+                if other is not None and not other[3]:
+                    j, step = int(k), other
+                    break
+        col, r, best, _ = step
 
-        pivot = tableau[r, j]
+        pivot = col[r]
         if pivot < TRUSTED_PIVOT and it > 0:
             return REFRESH, it
         if pivot < SMALL_PIVOT:
             amplification *= SMALL_PIVOT / pivot
-        if best <= DEGENERATE_STEP:
-            state[0] += 1
-        else:
-            state[0] = 0
-        pivot_on(tableau, basis, r, j)
+        state[0] = state[0] + 1 if best <= DEGENERATE_STEP else 0
+        pivot_on(work, r, col)
+        basis[r] = j
     return ITERATION_LIMIT, max_iter
 
 
-def pivot_on(tableau: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
-    """Make column j basic in row r: the rank-1 update of ``tableau``."""
-    tableau[r] /= tableau[r, j]
-    prow = tableau[r]
-    factors = tableau[:, j].copy()
+def _ratio_test(work, basis, A, d, j, tol, bland):
+    """Entering column j as [B^-1 a_j ; d_j], its pivot row, the smallest
+    ratio and whether the pivot is narrow (below SMALL_PIVOT and below
+    SMALL_RELATIVE times the column's largest entry); None when no entry
+    of the column is positive."""
+    m = A.shape[0]
+    col = work[:, :m] @ A[:, j]
+    col[m] = d[j]
+    positive = np.flatnonzero(col[:m] > tol)
+    if positive.size == 0:
+        return None
+    rhs, pivots = np.maximum(work[positive, m], 0.0), col[positive]
+    ratios = rhs / pivots
+    best = ratios.min()
+    bound = best if bland or positive.size == 1 else ((rhs + HARRIS_TOL) / pivots).min()
+    ties = positive[ratios <= bound]
+    if ties.size > 1 and not bland:
+        ties = ties[col[ties] == col[ties].max()]
+    r = int(ties[np.argmin(basis[ties])]) if ties.size > 1 else int(ties[0])
+    return col, r, best, col[r] < SMALL_PIVOT and col[r] < SMALL_RELATIVE * np.abs(col[:m]).max()
+
+
+def dual_pivot(work: np.ndarray, basis: np.ndarray, A: np.ndarray, c: np.ndarray,
+               x_B: np.ndarray, tol: float) -> bool:
+    """One dual simplex pivot on the row of the most negative entry of
+    x_B (the basis's exact values) if it is below -HARRIS_TOL, entering
+    by Harris's test on that row of B^-1 A.  Returns whether it pivoted."""
+    m = A.shape[0]
+    r = int(np.argmin(x_B)) if m else 0
+    if not m or x_B[r] >= -HARRIS_TOL:
+        return False
+    alpha = work[r, :m] @ A
+    d = np.maximum(c + work[m, :m] @ A, 0.0)
+    d[basis] = 0.0
+    entering = np.flatnonzero(alpha < -tol)
+    if entering.size == 0:
+        return False
+    ratios = d[entering] / -alpha[entering]
+    ties = entering[ratios <= ((d[entering] + HARRIS_TOL) / -alpha[entering]).min()]
+    j = int(ties[np.argmin(alpha[ties])])
+    col = work[:, :m] @ A[:, j]
+    col[m] = d[j]
+    pivot_on(work, r, col)
+    basis[r] = j
+    return True
+
+
+def pivot_on(work: np.ndarray, r: int, col: np.ndarray) -> None:
+    """Apply to ``work`` the row operations that turn ``col`` into the
+    r-th unit vector, skipping rows whose factor is zero."""
+    work[r] /= col[r]
+    factors = col.copy()
     factors[r] = 0.0
     rows = np.flatnonzero(factors)
-    tableau[rows] -= np.outer(factors[rows], prow)
-    tableau[:, j] = 0.0
-    tableau[r, j] = 1.0
-    basis[r] = j
+    work[rows] -= np.outer(factors[rows], work[r])

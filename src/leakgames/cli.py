@@ -20,7 +20,7 @@ import numpy as np
 from . import jsonio
 from .channels import equivalent, hidden_choice, visible_choice
 from .errors import LeakGamesError
-from .games import audit_hierarchy, hidden_mixture_value, payoff_matrix, solve
+from .games import audit_hierarchy, payoff_matrix, solve, uniform_worst_case
 from .labels import format_label
 from .pwdcheck import (
     MAX_BITS_DEFAULT,
@@ -180,8 +180,6 @@ def cmd_pwd(args) -> int:
                 writer.writerow([format_label(d)] + [f"{v:.6f}" for v in row])
         print(f"wrote {args.table}", file=sys.stderr)
     sol = solve(game, "IV")
-    uniform = np.full(len(game.defenders), 1.0 / len(game.defenders))
-    uniform_worst = max(hidden_mixture_value(game, a, uniform) for a in game.attackers)
     _print_json({
         "bits": args.bits,
         "value": float(sol.value),
@@ -189,7 +187,7 @@ def cmd_pwd(args) -> int:
                      for d, w in sol.defender["dist"].items()},
         "attacker": {format_label(a): float(w)
                      for a, w in sol.attacker["dist"].items()},
-        "uniform_worst_case": float(uniform_worst),
+        "uniform_worst_case": uniform_worst_case(game),
     })
     return EXIT_OK
 

@@ -155,12 +155,25 @@ def _index(labels: tuple, label) -> int:
         raise UnknownAction(f"unknown action {label!r}") from None
 
 
+def _vulnerabilities(game: LeakageGame, channels: np.ndarray) -> np.ndarray:
+    """Posterior vulnerability sum_y max_w sum_x pi(x) C(x, y) g(w, x) of
+    every channel C in a stack ``channels[..., x, y]``."""
+    joint = game.prior.weights[:, None] * channels
+    scores = joint if game.measure.is_bayes else game.gain @ joint
+    return scores.max(axis=-2).sum(axis=-1)
+
+
 def payoff_matrix(game: LeakageGame) -> LabeledMatrix:
     """Pure-profile payoffs, defenders as rows: the posterior vulnerability
-    sum_y max_w sum_x pi(x) C_da(x, y) g(w, x) of every profile at once."""
-    joint = game.prior.weights[:, None] * game.tensor            # [d, a, x, y]
-    scores = joint if game.measure.is_bayes else game.gain @ joint
-    return LabeledMatrix(game.defenders, game.attackers, scores.max(axis=2).sum(axis=2))
+    of every profile's channel at once."""
+    return LabeledMatrix(game.defenders, game.attackers, _vulnerabilities(game, game.tensor))
+
+
+def uniform_worst_case(game: LeakageGame) -> float:
+    """The best attacker action's payoff against the hidden uniform
+    mixture of defender actions: the vulnerability of each column's
+    mixture channel, tensor.mean over d, maximised over the columns."""
+    return float(_vulnerabilities(game, game.tensor.mean(axis=0)).max())
 
 
 @dataclass

@@ -1,21 +1,13 @@
-"""Self-contained dense linear programming.
-
-Two-phase primal simplex on a dense tableau with Bland's anti-cycling
-rule, written for the small, exactness-sensitive programs this package
+"""Self-contained dense linear programming: a two-phase revised primal
+simplex for the small, exactness-sensitive programs this package
 produces (matrix games, epigraph formulations, convex-hull membership).
-Determinism matters more than speed here: given the same input the
-solver always follows the same pivot path.
-
-The pivot loop itself lives in leakgames._kernel_py (numpy), reached
-through the module global ``_kernel``; ``_run_phase`` drives it and
-``_refactor`` rebuilds the tableau between its calls.  The kernel's
-rank-1 update, ``pivot_on``, also drives artificials out of the basis
-after phase 1.  LP sizes and objectives are logged at DEBUG level
-(LEAKGAMES_LOG=DEBUG on the CLI).
-
-Variables are nonnegative by default; a variable may be declared free
-(encoded internally as a difference of two nonnegative ones).  General
-upper bounds are out of scope.
+The same input always follows the same pivot path.  It carries the
+dense inverse of the basis, (m+1) x (m+1) whatever the number of
+columns: ``_run_phase`` drives the pivot loop of leakgames._kernel_py,
+reached through the module global ``_kernel``, and ``_refactor``
+reinverts the basis between its calls.  Variables are nonnegative or
+free (a difference of two nonnegative ones); general upper bounds are
+out of scope.  LEAKGAMES_LOG=DEBUG logs LP sizes and objectives.
 """
 
 from __future__ import annotations
@@ -37,21 +29,17 @@ KERNEL_NAME = "python"      # reported by perfbench/worker.py's environment reco
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-8
 REFACTOR_EVERY = 64
+PERTURBATION = 1e-11
 
-LESS = "<="
-EQUAL = "="
-GREATER = ">="
+LESS, EQUAL, GREATER = "<=", "=", ">="
 
 _SLACK_SIGN = {LESS: 1.0, GREATER: -1.0, EQUAL: 0.0}
 
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min/max of c.x subject to rows (coefficients, relation, bound).
-
-    ``free[j]`` marks variable j as unrestricted in sign; all other
-    variables satisfy x_j >= 0.
-    """
+    """min/max of c.x subject to rows (coefficients, relation, bound);
+    ``free[j]`` marks variable j as free, all others are >= 0."""
 
     c: np.ndarray
     rows: tuple
@@ -72,11 +60,8 @@ class LinearProgram:
             norm_rows.append((coeffs, rel, float(rhs)))
         if sense not in ("min", "max"):
             raise ValueError(f"unknown sense {sense!r}")
-        if free is None:
-            free_mask = np.zeros(n, dtype=bool)
-        else:
-            free_mask = np.zeros(n, dtype=bool)
-            free_mask[list(free)] = True
+        free_mask = np.zeros(n, dtype=bool)
+        free_mask[list(() if free is None else free)] = True
         return LinearProgram(c=c, rows=tuple(norm_rows), sense=sense, free=free_mask)
 
     @property
@@ -100,59 +85,72 @@ class LPSolution:
         return self.status == "optimal"
 
 
-def _refactor(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray):
-    """Rebuild a canonical tableau from scratch for the given basis.
+def _refined(binv: np.ndarray, B: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """B^-1 v refined once, with the residual formed in B's (extended)
+    precision: products with an explicit inverse are not backward
+    stable, and their errors grow with the condition of B."""
+    x = binv @ v
+    return x + binv @ (v - B @ x).astype(float)
 
-    Long runs of (mostly degenerate) pivots let rounding noise pile up
-    in the tableau until junk entries cross the pivot tolerance;
-    recomputing everything from the original data resets the noise to
-    one linear solve's worth.  Returns (tableau, y) with y the simplex
-    multipliers of the basis.
-    """
+
+def _refactor(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray,
+              pivots: int = 0, floor: float = -1e-7):
+    """Reinvert the basis from the original data: returns (work, y), with
+    work = [B^-1 | x_B ; -y | -z] for the columns ``basis`` of A and y
+    the simplex multipliers.  Reinverting resets the rounding noise that
+    pivots pile up in the inverse; ``pivots`` counts them, for errors.
+    x_B below ``floor`` means the updates had drifted: SolverError."""
     m = A.shape[0]
-    B = A[:, basis]
-    body = np.linalg.solve(B, np.hstack([A, b[:, None]]))
-    y = np.linalg.solve(B.T, c[basis])
-    obj = np.empty(A.shape[1] + 1)
-    obj[:-1] = c - y @ A
-    obj[-1] = -y @ b
-    tableau = np.ascontiguousarray(np.vstack([body, obj]))
-    tableau[:m][:, basis] = np.eye(m)
-    tableau[m, basis] = 0.0
-    rhs = tableau[:m, -1]
-    if rhs.size and rhs.min() < -1e-7:
-        raise SolverError(f"simplex lost primal feasibility (rhs {rhs.min():.3g})")
-    np.clip(rhs, 0.0, None, out=rhs)
-    return tableau, y
+    try:
+        binv = np.linalg.inv(A[:, basis])
+    except np.linalg.LinAlgError:
+        raise SolverError(f"singular basis of {m} rows at reinversion, "
+                          f"{pivots} pivots after the last one") from None
+    B = A[:, basis].astype(np.longdouble)
+    x_B, y = _refined(binv, B, b), _refined(binv.T, B.T, c[basis])
+    if m and x_B.min() < floor:
+        raise SolverError(f"simplex lost primal feasibility (rhs {x_B.min():.3g})")
+    work = np.empty((m + 1, m + 1))
+    work[:m, :m], work[:m, m] = binv, x_B
+    work[m, :m], work[m, m] = -y, -(y @ b)
+    return work, y
 
 
 def _run_phase(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray,
-               n_enter: int, max_iter: int):
-    """Simplex with periodic refactorisation.  Returns
-    (status, tableau, y, iterations); status is a kernel constant.
-
-    The kernel is re-entered on a fresh tableau after every REFRESH
-    request, every REFACTOR_EVERY pivots, and once more after it claims
-    optimality; only an optimality claim made on a fresh tableau (zero
-    pivots since the last refactorisation) is accepted.
+               max_iter: int):
+    """Simplex over all columns of A, reinverting after every REFRESH,
+    every REFACTOR_EVERY pivots and every claim of the kernel.  Returns
+    (status, work, y, iterations); status is a kernel constant.  A claim
+    counts only when made on a fresh inverse.  Once the kernel stalls,
+    b is perturbed so that each basic value grows by PERTURBATION,
+    relative, until the next optimum; then the true b is restored, and
+    dual pivots repair what it makes infeasible.
     """
-    iterations = 0
+    iterations, target = 0, b
     state = np.zeros(1, dtype=np.int64)
-    tableau, y = _refactor(A, b, c, basis)
+    work, y = _refactor(A, b, c, basis)
     while True:
         budget = min(REFACTOR_EVERY, max_iter - iterations)
         if budget <= 0:
-            return _kernel_py.ITERATION_LIMIT, tableau, y, iterations
-        status, its = _kernel.run_simplex(tableau, basis, n_enter, PIVOT_TOL,
-                                          budget, state)
+            return _kernel_py.ITERATION_LIMIT, work, y, iterations
+        x_B = work[:-1, -1].copy()          # the reinverted values, unclipped
+        np.clip(x_B, 0.0, None, out=work[:-1, -1])
+        status, its = _kernel.run_simplex(work, basis, A, c, PIVOT_TOL, budget, state)
+        repair = its == 0 and status == _kernel_py.OPTIMAL
+        if state[0] >= _kernel_py.STALL_LIMIT and b is target:
+            state[0] = 0
+            spread = 0.5 + np.arange(len(b)) * 0.618034 % 1 / 2
+            b = b + A[:, basis] @ (PERTURBATION * (1 + np.abs(work[:-1, -1])) * spread)
+        elif repair and b is not target:
+            b = target
+        elif repair:
+            its = int(_kernel_py.dual_pivot(work, basis, A, c, x_B, PIVOT_TOL))
+            if its == 0:
+                return status, work, y, iterations
+        elif its == 0 and status == _kernel_py.UNBOUNDED:
+            return status, work, y, iterations
         iterations += its
-        if status == _kernel_py.UNBOUNDED:
-            return status, tableau, y, iterations
-        if status == _kernel_py.OPTIMAL and its == 0:
-            # no pivot happened since the last refresh: truly optimal, and
-            # the tableau and y are already that refresh's
-            return status, tableau, y, iterations
-        tableau, y = _refactor(A, b, c, basis)
+        work, y = _refactor(A, b, c, basis, its, -np.inf if repair else -1e-7)
 
 
 def _row_arrays(lp: LinearProgram):
@@ -167,23 +165,18 @@ def _row_arrays(lp: LinearProgram):
 
 
 def _standard_form(A: np.ndarray, b: np.ndarray, slack: np.ndarray, free: np.ndarray):
-    """Equilibrate and sign-normalise the rows, then expand the columns.
-
-    Each row is scaled to unit infinity-norm and negated where its
-    right-hand side is negative; the negation flips the slack sign with
-    it.  Columns are the original variables, then the negative halves
-    of the free ones, then one slack per inequality row in row order.
-    Returns (A_std, b_std, slack_std, flips, col_index, col_sign): column
-    k of the main block is col_sign[k] times original column
-    col_index[k], and flips maps standard-form row duals back to the
-    original rows.
+    """Scale each row to unit infinity-norm, negate those with a negative
+    right-hand side (flipping their slack sign), and expand the columns:
+    the variables, the negative halves of the free ones, then one slack
+    per inequality row.  Returns (A_std, b_std, slack_std, flips,
+    col_index, col_sign): main column k is col_sign[k] times original
+    column col_index[k]; flips maps row duals back to the original rows.
     """
     n = A.shape[1]
     scale = np.abs(A).max(axis=1, initial=0.0)
     scale[scale <= 0.0] = 1.0
-    b_std = b / scale
-    flip = np.where(b_std < 0, -1.0, 1.0)
-    b_std *= flip
+    flip = np.where(b < 0, -1.0, 1.0)
+    b_std = np.abs(b) / scale
     slack_std = slack * flip
 
     col_index = np.concatenate([np.arange(n), np.flatnonzero(free)])
@@ -211,73 +204,62 @@ def lp_solve(lp: LinearProgram, max_iter: int | None = None) -> LPSolution:
     A_user, b_user, slack_user = _row_arrays(lp)
     A_std, b_std, slack_std, flips_arr, col_index, col_sign = _standard_form(
         A_user, b_user, slack_user, free)
-    m, n_std = A_std.shape
-    n_main = col_index.shape[0]
-    slack_rows = np.flatnonzero(slack_std != 0.0)
+    (m, n_std), n_main = A_std.shape, col_index.shape[0]
 
     need_artificial = np.flatnonzero(slack_std != 1.0)
     n_art = need_artificial.shape[0]
-    total = n_std + n_art
-
-    tableau = np.zeros((m + 1, total + 1))
-    tableau[:m, :n_std] = A_std
-    tableau[:m, total] = b_std
     basis = np.empty(m, dtype=np.int64)
-    basis[slack_rows] = np.arange(n_main, n_std)
-    basis[need_artificial] = np.arange(n_std, total)
-    tableau[need_artificial, basis[need_artificial]] = 1.0
+    basis[slack_std != 0.0] = np.arange(n_main, n_std)
+    basis[need_artificial] = np.arange(n_std, n_std + n_art)
 
     iterations = 0
-    if max_iter is None:
-        max_iter = 5000 + 100 * (m + total)
+    max_iter = 5000 + 100 * (m + n_std + n_art) if max_iter is None else max_iter
     log.debug("lp_solve: %d rows, %d std cols, %d artificials", m, n_std, n_art)
 
     keep_rows = np.arange(m)
     if n_art:
         # phase 1: minimise the sum of artificials
-        A1 = np.array(tableau[:m, :total])
-        c1 = np.zeros(total)
-        c1[n_std:] = 1.0
-        status, tableau, _, its = _run_phase(A1, b_std, c1, basis, total, max_iter)
+        A1 = np.hstack([A_std, np.zeros((m, n_art))])
+        A1[need_artificial, basis[need_artificial]] = 1.0
+        c1 = np.concatenate([np.zeros(n_std), np.ones(n_art)])
+        status, work, _, its = _run_phase(A1, b_std, c1, basis, max_iter)
         iterations += its
         if status == _kernel_py.ITERATION_LIMIT:
             return LPSolution(status="stalled", iterations=iterations)
         if status == _kernel_py.UNBOUNDED:
             raise SolverError("phase 1 reported unbounded; its objective is bounded below")
-        phase1 = -tableau[m, total]
+        phase1 = -work[m, m]
         if phase1 > FEAS_TOL:
             return LPSolution(status="infeasible", iterations=iterations,
                               diagnostics={"phase1": phase1})
-        # drive remaining artificials out of the basis, drop redundant rows
+        # drive the artificials out (row i of B^-1 A picks the column);
+        # where that row is zero, drop the artificial and its redundant row
         drop = []
-        for i in range(m):
-            if basis[i] >= n_std:
-                nonzero = np.flatnonzero(np.abs(tableau[i, :n_std]) > PIVOT_TOL)
-                if nonzero.size:
-                    _kernel_py.pivot_on(tableau, basis, i, int(nonzero[0]))
-                else:
-                    drop.append(i)
+        for i in np.flatnonzero(basis >= n_std):
+            nonzero = np.flatnonzero(np.abs(work[i, :m] @ A_std) > PIVOT_TOL)
+            if nonzero.size:
+                j = int(nonzero[0])
+                _kernel_py.pivot_on(work, i, work[:, :m] @ A_std[:, j])
+                basis[i] = j
+            else:
+                drop.append(i)
         if drop:
-            keep = [i for i in range(m) if i not in drop]
-            basis = basis[keep]
-            keep_rows = keep_rows[keep]
-            A_std = A_std[keep]
-            b_std = b_std[keep]
-            m = len(keep)
+            rows = need_artificial[basis[drop] - n_std]
+            basis, keep_rows = np.delete(basis, drop), np.delete(keep_rows, rows)
+            A_std, b_std = np.delete(A_std, rows, axis=0), np.delete(b_std, rows)
+            m -= len(drop)
 
     # phase 2 on the artificial-free columns
     c_std = np.zeros(n_std)
     c_std[:n_main] = c0[col_index] * col_sign
-    status, tableau, y_std, its = _run_phase(
-        A_std, b_std, c_std, basis, n_std, max_iter - iterations)
+    status, work, y_std, its = _run_phase(A_std, b_std, c_std, basis, max_iter - iterations)
     iterations += its
-    if status == _kernel_py.UNBOUNDED:
-        return LPSolution(status="unbounded", iterations=iterations)
-    if status == _kernel_py.ITERATION_LIMIT:
-        return LPSolution(status="stalled", iterations=iterations)
+    if status != _kernel_py.OPTIMAL:
+        return LPSolution(status="unbounded" if status == _kernel_py.UNBOUNDED else "stalled",
+                          iterations=iterations)
 
     x_std = np.zeros(n_std)
-    x_std[basis] = tableau[:m, n_std]
+    x_std[basis] = work[:m, m]
     x = x_std[:n].copy()
     x[col_index[n:]] -= x_std[n:n_main]
 
@@ -286,8 +268,7 @@ def lp_solve(lp: LinearProgram, max_iter: int | None = None) -> LPSolution:
     duals0 = flips_arr * y_full
 
     primal0 = float(c0 @ x)
-    dual0 = float(duals0 @ b_user)
-    gap = abs(primal0 - dual0)
+    gap = abs(primal0 - float(duals0 @ b_user))
 
     excess = A_user @ x - b_user
     violation = np.where(slack_user == 0.0, np.abs(excess), slack_user * excess)
@@ -298,11 +279,9 @@ def lp_solve(lp: LinearProgram, max_iter: int | None = None) -> LPSolution:
     duals = duals0 if minimize else -duals0
     log.debug("lp_solve: optimal obj=%.12g gap=%.3g iters=%d",
               objective, gap, iterations)
-    return LPSolution(
-        status="optimal", x=x, duals=duals, objective=objective,
-        gap=gap, max_residual=residual, iterations=iterations,
-        diagnostics={"rows": len(lp.rows), "cols": n},
-    )
+    return LPSolution(status="optimal", x=x, duals=duals, objective=objective, gap=gap,
+                      max_residual=residual, iterations=iterations,
+                      diagnostics={"rows": len(lp.rows), "cols": n})
 
 
 def require_optimal(solution: LPSolution, what: str = "linear program") -> LPSolution:

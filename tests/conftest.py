@@ -67,21 +67,16 @@ def random_measure(rng, secrets) -> VulnMeasure:
         GainFunction.build(("w1", "w2", "w3"), tuple(secrets), gain))
 
 
-def _postprocessing_fit(target: Channel, base: Channel) -> float:
-    """Reference oracle for equivalence: the best reconstruction of
-    ``target`` as ``base`` followed by a stochastic post-processing step.
+HIGHS_TIGHT = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
-    Solves  min t  s.t.  |base @ R - target| <= t entrywise, R >= 0 and
-    each row of R summing to 1, with scipy's HiGHS.  Such an R exists
-    with t = 0 exactly when target leaks no more than base.  ``base``
-    must list the secrets in target's order.  Returns the largest entry
-    error of the optimal R.
+
+def _fit_lp(T: np.ndarray, B: np.ndarray):
+    """The L-infinity fit LP of target matrix T from base matrix B:
+    min t  s.t.  |B @ R - T| <= t entrywise, R >= 0, each row of R
+    summing to 1.  Variables are R column by column (column j of R
+    rebuilds column j of T), then t.  Returns (c, A_ub, b_ub, A_eq, b_eq).
     """
-    from scipy.optimize import linprog
-
-    B, T = base.data, target.data
     k, n = B.shape[1], T.shape[1]
-    # variables: R column by column (column j of R rebuilds column j of T), then t
     fit = np.kron(np.eye(n), B)
     t_col = -np.ones((fit.shape[0], 1))
     a_ub = np.block([[fit, t_col], [-fit, t_col]])
@@ -89,12 +84,26 @@ def _postprocessing_fit(target: Channel, base: Channel) -> float:
     a_eq = np.hstack([np.tile(np.eye(k), n), np.zeros((k, 1))])
     c = np.zeros(k * n + 1)
     c[-1] = 1.0
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.ones(k),
-                  bounds=(0, None), method="highs",
-                  options={"primal_feasibility_tolerance": 1e-10,
-                           "dual_feasibility_tolerance": 1e-10})
+    return c, a_ub, b_ub, a_eq, np.ones(k)
+
+
+def _postprocessing_fit(target: Channel, base: Channel) -> float:
+    """Reference oracle for equivalence: the best reconstruction of
+    ``target`` as ``base`` followed by a stochastic post-processing step.
+
+    Solves ``_fit_lp`` with scipy's HiGHS.  Such an R exists with t = 0
+    exactly when target leaks no more than base.  ``base`` must list the
+    secrets in target's order.  Returns the largest entry error of the
+    optimal R.
+    """
+    from scipy.optimize import linprog
+
+    B, T = base.data, target.data
+    c, a_ub, b_ub, a_eq, b_eq = _fit_lp(T, B)
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                  bounds=(0, None), method="highs", options=HIGHS_TIGHT)
     assert res.status == 0, res.message
-    R = res.x[:-1].reshape(n, k).T
+    R = res.x[:-1].reshape(T.shape[1], B.shape[1]).T
     return float(np.abs(B @ R - T).max())
 
 

@@ -3,7 +3,13 @@ import pytest
 
 from leakgames import jsonio
 from leakgames.errors import BadPermutation, TooLarge
-from leakgames.games import hidden_branch_pieces, payoff_matrix, solve
+from leakgames.games import (
+    hidden_branch_pieces,
+    hidden_mixture_value,
+    payoff_matrix,
+    solve,
+    uniform_worst_case,
+)
 from leakgames.matrix import LabeledMatrix
 from leakgames.minimax import branch_value
 from leakgames.pwdcheck import (
@@ -281,3 +287,13 @@ def test_bundled_pihat_digits():
     # digits as published sum to 1.0001 and are renormalised on load
     assert pi.weights.sum() == pytest.approx(1.0, abs=1e-15)
     assert pi["011"] == pytest.approx(0.4382 / 1.0001)
+
+
+@pytest.mark.parametrize("n, prior", [(n, "uniform") for n in (2, 3, 4, 5)]
+                         + [(3, name) for name in ("pihat", "prior_a", "prior_b")])
+def test_uniform_worst_case_matches_per_attacker_loop(n, prior):
+    p = Prior.uniform(secret_labels(n)) if prior == "uniform" else bundled_prior(prior)
+    game = build_game(n, p, max_bits=5)
+    uniform = np.full(len(game.defenders), 1.0 / len(game.defenders))
+    loop = max(hidden_mixture_value(game, a, uniform) for a in game.attackers)
+    assert abs(uniform_worst_case(game) - loop) <= 1e-15
