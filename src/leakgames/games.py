@@ -24,10 +24,11 @@ Seven solve modes cover the order-of-play / visibility grid:
     VI_behavioral   attacker first, hidden; defender picks a mixture
                     after seeing the attacker's action
 
-Visible-choice payoffs are bilinear, so I-III reduce to a matrix game
-and pure argmin/argmax.  Hidden-choice payoffs are convex in the
-defender's mixture, handled by leakgames.minimax.solve_convex_linear_game
-(the epigraph LP or its dual, whichever is smaller).
+Hidden-choice payoffs are convex piecewise-linear in the defender's
+mixture; visible-choice payoffs are bilinear, the case of one piece per
+attacker action.  So I and IV-VI all go through
+leakgames.minimax.solve_convex_linear_game (the epigraph LP or its dual,
+whichever is smaller), and II-III are pure argmin/argmax.
 
 Tie-breaking everywhere: lowest action in label order.  The actions
 are stored in that order, so it is the first index np.argmin and
@@ -267,8 +268,8 @@ def _solve_visible_simultaneous(game: LeakageGame) -> GameSolution:
     return GameSolution(
         kind="I",
         value=sol.value,
-        defender={"type": "mixed", "dist": dict(zip(game.defenders, sol.row_strategy))},
-        attacker={"type": "mixed", "dist": dict(zip(game.attackers, sol.col_strategy))},
+        defender={"type": "mixed", "dist": dict(zip(game.defenders, sol.delta))},
+        attacker={"type": "mixed", "dist": dict(zip(game.attackers, sol.alpha))},
         diagnostics={"solver": "matrix-game LP", **sol.diagnostics},
     )
 

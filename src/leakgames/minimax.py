@@ -1,27 +1,33 @@
 """Minimax engines: exact LP solvers and an iterative cross-check.
 
 Conventions: in a matrix game the row player minimises and the column
-player maximises.  ``solve_matrix_game`` is the exact LP route;
-``fictitious_play`` independently brackets the value and exists to
-cross-validate the LP, not to replace it.
+player maximises.  ``fictitious_play`` independently brackets the value
+and exists to cross-validate the LP, not to replace it.
 
-``solve_convex_linear_game`` handles the harder payoff shape where the
-row player's mixture enters a convex piecewise-linear function (one
-linear piece per observable/guess pair) and the column player takes the
-worst case.  Two dual linear programs give its value: the row
-player's epigraph LP
+``solve_convex_linear_game`` handles payoffs where the row player's
+mixture enters a convex piecewise-linear function (one linear piece per
+observable/guess pair) and the column player takes the worst case.  A
+matrix game is the case of one piece per branch, and
+``solve_matrix_game`` solves it so.  Two dual linear programs give the
+value: the row player's epigraph LP
 
     min z   s.t.  t_{a,y} >= sum_d delta(d) k[a][y, w, d]   for all w,
                   z >= sum_y t_{a,y}                        for all a,
                   delta a distribution,
 
-with one row per piece (a, y, w), and the column player's LP
+and the column player's LP
 
     max g   s.t.  sum_a alpha(a) = 1,
                   sum_w beta(a, y, w) = alpha(a)            for all (a, y),
-                  g <= sum_{a,y,w} beta(a, y, w) k[a][y, w, d]  for all d,
+                  g <= sum_{a,y,w} beta(a, y, w) k[a][y, w, d]  for all d.
 
-with one row per (a, y) and per d.  First, pieces that can never bind
+A group (a, y) with one piece w is substituted out of both: the
+epigraph LP puts k[a][y, w] . delta in place of t_{a,y} in its per-a
+row, and the column player's LP puts alpha(a) in place of
+beta(a, y, w).  With one piece per branch they are the two matrix-game
+LPs.  So the epigraph LP has one row per piece of a group of two or
+more, per a, and for the simplex; the column player's one row for the
+simplex, per such group, and per d.  First, pieces that can never bind
 are dropped: within each (a, y), a piece that duplicates an earlier one
 or is componentwise dominated by another (exact, since delta >= 0).
 Then the LP with fewer rows is solved.  From the epigraph LP, delta is
@@ -40,50 +46,18 @@ from .matrix import LabeledMatrix
 from .simplex import EQUAL, LESS, LinearProgram, lp_solve, require_optimal
 
 
-@dataclass
-class MatrixGameSolution:
-    value: float
-    row_strategy: np.ndarray      # minimiser
-    col_strategy: np.ndarray      # maximiser
-    diagnostics: dict = field(default_factory=dict)
-
-
 def _payoff_array(payoff) -> np.ndarray:
     return np.array(payoff.data if isinstance(payoff, LabeledMatrix) else payoff, dtype=float)
 
 
+def _one_piece(u: np.ndarray) -> list:
+    """A matrix game as a convex game: branch a's one piece is column a."""
+    return [col.reshape(1, 1, -1) for col in np.asarray(u, dtype=float).T]
+
+
 def matrix_game_lp(u: np.ndarray) -> LinearProgram:
     """Row player's LP: variables (delta, v), min v."""
-    n_d, n_a = u.shape
-    c = np.zeros(n_d + 1)
-    c[-1] = 1.0
-    rows = []
-    for a in range(n_a):
-        row = np.zeros(n_d + 1)
-        row[:n_d] = u[:, a]
-        row[-1] = -1.0
-        rows.append((row, LESS, 0.0))
-    srow = np.zeros(n_d + 1)
-    srow[:n_d] = 1.0
-    rows.append((srow, EQUAL, 1.0))
-    return LinearProgram.build(c, rows, sense="min", free=[n_d])
-
-
-def matrix_game_dual_lp(u: np.ndarray) -> LinearProgram:
-    """Column player's LP: variables (alpha, w), max w."""
-    n_d, n_a = u.shape
-    c = np.zeros(n_a + 1)
-    c[-1] = 1.0
-    rows = []
-    for d in range(n_d):
-        row = np.zeros(n_a + 1)
-        row[:n_a] = -u[d, :]
-        row[-1] = 1.0
-        rows.append((row, LESS, 0.0))
-    srow = np.zeros(n_a + 1)
-    srow[:n_a] = 1.0
-    rows.append((srow, EQUAL, 1.0))
-    return LinearProgram.build(c, rows, sense="max", free=[n_a])
+    return convex_game_lp(_one_piece(u))[0]
 
 
 def _distribution(weights: np.ndarray) -> np.ndarray:
@@ -93,23 +67,15 @@ def _distribution(weights: np.ndarray) -> np.ndarray:
     return w / total if total > 0 else np.full(w.shape[0], 1.0 / w.shape[0])
 
 
-def solve_matrix_game(payoff) -> MatrixGameSolution:
-    """Saddle point of a finite zero-sum matrix game (row min, col max)."""
+def solve_matrix_game(payoff) -> ConvexGameSolution:
+    """Saddle point of a finite zero-sum matrix game (row min, col max):
+    the convex game with one piece per branch, so delta is the row
+    player's strategy and alpha the column player's."""
     u = _payoff_array(payoff)
-    n_d, n_a = u.shape
-    sol = require_optimal(lp_solve(matrix_game_lp(u)), "matrix game LP")
-    delta = _distribution(sol.x[:n_d])
-    alpha = _distribution(-sol.duals[:n_a])
-    value = float(sol.objective)
-    upper = float((delta @ u).max())
-    lower = float((u @ alpha).min())
-    return MatrixGameSolution(
-        value=value, row_strategy=delta, col_strategy=alpha,
-        diagnostics={
-            "gap": sol.gap, "iterations": sol.iterations,
-            "minimax_residual": max(abs(upper - value), abs(lower - value)),
-        },
-    )
+    sol = solve_convex_linear_game(_one_piece(u))
+    sol.diagnostics["minimax_residual"] = max(abs((sol.delta @ u).max() - sol.value),
+                                              abs((u @ sol.alpha).min() - sol.value))
+    return sol
 
 
 def closed_form_2x2(payoff):
@@ -237,14 +203,26 @@ class PieceSet:
         return self.branch.shape[0]
 
     @property
+    def alone(self) -> np.ndarray:
+        """Mask over pieces: the only piece of its group.  Both LPs
+        substitute such a group out (see the module docstring)."""
+        return np.bincount(self.group, minlength=self.n_groups)[self.group] == 1
+
+    @property
+    def shared(self) -> tuple[np.ndarray, np.ndarray]:
+        """The groups of two or more pieces, and the position among them
+        of the group of each piece not ``alone``."""
+        return np.unique(self.group[~self.alone], return_inverse=True)
+
+    @property
     def defender_rows(self) -> int:
         """Constraint rows of ``convex_game_lp``."""
-        return self.k.shape[0] + self.n_a + 1
+        return int((~self.alone).sum()) + self.n_a + 1
 
     @property
     def attacker_rows(self) -> int:
         """Constraint rows of ``convex_game_attacker_lp``."""
-        return 1 + self.n_groups + self.n_d
+        return 1 + self.shared[0].shape[0] + self.n_d
 
 
 def binding_pieces(p: np.ndarray) -> np.ndarray:
@@ -280,20 +258,24 @@ def convex_game_lp(pieces) -> tuple[LinearProgram, int, list]:
     ``pieces`` is a sequence over column-player actions; pieces[a] is an
     array of shape (n_y_a, n_w_a, n_d): the linear coefficients over
     delta of piece (y, w) of branch a.  A PieceSet is accepted as well.
-    Returns the LP, the number of delta variables, and the indices of
-    the per-a rows (for duals).
+    Variables: delta, one t per group of two or more pieces, z.  Returns
+    the LP, the number of delta variables, and the indices of the per-a
+    rows (for duals).
     """
     ps = PieceSet.from_arrays(pieces)
-    n_d, n_t, n_p = ps.n_d, ps.n_groups, ps.k.shape[0]
+    alone = ps.alone
+    groups, t_of = ps.shared
+    n_d, n_t, n_p = ps.n_d, groups.shape[0], t_of.shape[0]
     nvar = n_d + n_t + 1  # delta, t, z
     z = nvar - 1
     c = np.zeros(nvar)
     c[z] = 1.0
     piece_rows = np.zeros((n_p, nvar))
-    piece_rows[:, :n_d] = ps.k
-    piece_rows[np.arange(n_p), n_d + ps.group] = -1.0
+    piece_rows[:, :n_d] = ps.k[~alone]
+    piece_rows[np.arange(n_p), n_d + t_of] = -1.0
     per_a_rows = np.zeros((ps.n_a, nvar))
-    per_a_rows[ps.branch, n_d + np.arange(n_t)] = 1.0
+    per_a_rows[ps.branch[groups], n_d + np.arange(n_t)] = 1.0
+    np.add.at(per_a_rows[:, :n_d], ps.branch[ps.group[alone]], ps.k[alone])
     per_a_rows[:, z] = -1.0
     srow = np.zeros(nvar)
     srow[:n_d] = 1.0
@@ -307,27 +289,30 @@ def convex_game_lp(pieces) -> tuple[LinearProgram, int, list]:
 def convex_game_attacker_lp(pieces) -> tuple[LinearProgram, int]:
     """Maximin LP of the column player for the convex game.
 
-    Variables: alpha (per a), beta (per piece), gamma.  max gamma s.t.
-    sum alpha = 1; per (a, y): sum_w beta = alpha_a; per d:
-    gamma <= sum beta . k.  It is the dual of ``convex_game_lp``: the
-    duals of its per-d rows, the last ``n_d`` rows, are the row player's
-    delta.  Accepts the same inputs as ``convex_game_lp``; its row count
-    does not depend on the number of pieces, which only add columns.
+    Variables: alpha (per a), beta (per piece of a group of two or
+    more), gamma.  It is the dual of ``convex_game_lp``: the duals of
+    its per-d rows, the last ``n_d`` rows, are the row player's delta.
+    Accepts the same inputs as ``convex_game_lp``; its rows grow with
+    the groups of two or more pieces, not with the pieces they hold,
+    which only add columns.
     """
     ps = PieceSet.from_arrays(pieces)
-    n_a, n_p = ps.n_a, ps.k.shape[0]
+    alone = ps.alone
+    groups, t_of = ps.shared
+    n_a, n_p = ps.n_a, t_of.shape[0]
     nvar = n_a + n_p + 1
     gamma = nvar - 1
     c = np.zeros(nvar)
     c[gamma] = 1.0
     srow = np.zeros(nvar)
     srow[:n_a] = 1.0
-    group_rows = np.zeros((ps.n_groups, nvar))
-    group_rows[ps.group, n_a + np.arange(n_p)] = 1.0
-    group_rows[np.arange(ps.n_groups), ps.branch] = -1.0
+    group_rows = np.zeros((groups.shape[0], nvar))
+    group_rows[t_of, n_a + np.arange(n_p)] = 1.0
+    group_rows[np.arange(groups.shape[0]), ps.branch[groups]] = -1.0
     d_rows = np.zeros((ps.n_d, nvar))
     d_rows[:, gamma] = 1.0
-    d_rows[:, n_a:gamma] = -ps.k.T
+    d_rows[:, n_a:gamma] = -ps.k[~alone].T
+    np.subtract.at(d_rows.T, ps.branch[ps.group[alone]], ps.k[alone])
     rows = [(srow, EQUAL, 1.0)]
     rows += [(row, EQUAL, 0.0) for row in group_rows]
     rows += [(row, LESS, 0.0) for row in d_rows]
@@ -394,18 +379,7 @@ def optimal_coordinate_range(lp: LinearProgram, optimum: float, coord: int,
 
 def matrix_game_unique(u: np.ndarray, value: float, tol: float = 1e-7) -> bool:
     """Probe whether the equilibrium strategies of a matrix game are unique."""
-    n_d, n_a = u.shape
-    primal = matrix_game_lp(u)
-    for d in range(n_d):
-        lo, hi = optimal_coordinate_range(primal, value, d)
-        if hi - lo > tol:
-            return False
-    dual = matrix_game_dual_lp(u)
-    for a in range(n_a):
-        lo, hi = optimal_coordinate_range(dual, value, a)
-        if hi - lo > tol:
-            return False
-    return True
+    return convex_game_unique(_one_piece(u), value, tol)
 
 
 def convex_game_unique(pieces, value: float, tol: float = 1e-6) -> bool:

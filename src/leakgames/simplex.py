@@ -189,7 +189,7 @@ def _standard_form(A: np.ndarray, b: np.ndarray, slack: np.ndarray, free: np.nda
     return A_std, b_std, slack_std, flip / scale, col_index, col_sign
 
 
-def lp_solve(lp: LinearProgram, max_iter: int | None = None) -> LPSolution:
+def lp_solve(lp: LinearProgram) -> LPSolution:
     """Solve ``lp`` and return primal values, row duals and the duality gap.
 
     Row duals are reported so that sum(duals * rhs) equals the optimal
@@ -213,7 +213,7 @@ def lp_solve(lp: LinearProgram, max_iter: int | None = None) -> LPSolution:
     basis[need_artificial] = np.arange(n_std, n_std + n_art)
 
     iterations = 0
-    max_iter = 5000 + 100 * (m + n_std + n_art) if max_iter is None else max_iter
+    max_iter = 5000 + 100 * (m + n_std + n_art)
     log.debug("lp_solve: %d rows, %d std cols, %d artificials", m, n_std, n_art)
 
     keep_rows = np.arange(m)

@@ -12,13 +12,14 @@ from leakgames.minimax import (
     convex_game_lp,
     convex_game_unique,
     fictitious_play,
+    matrix_game_lp,
     matrix_game_unique,
     prune_pieces,
     solve_convex_linear_game,
     solve_matrix_game,
 )
 from leakgames.pwdcheck import build_game, secret_labels
-from leakgames.simplex import lp_solve
+from leakgames.simplex import EQUAL, LESS, LinearProgram, lp_solve
 from leakgames.vuln import Prior
 
 DEMO_PAYOFF = np.array([[0.5, 1.0], [1.0, 2 / 3]])
@@ -27,8 +28,8 @@ DEMO_PAYOFF = np.array([[0.5, 1.0], [1.0, 2 / 3]])
 def test_matrix_game_demo():
     s = solve_matrix_game(DEMO_PAYOFF)
     assert s.value == pytest.approx(4 / 5, abs=1e-10)
-    assert s.row_strategy[0] == pytest.approx(2 / 5, abs=1e-10)
-    assert s.col_strategy[0] == pytest.approx(2 / 5, abs=1e-10)
+    assert s.delta[0] == pytest.approx(2 / 5, abs=1e-10)
+    assert s.alpha[0] == pytest.approx(2 / 5, abs=1e-10)
     assert s.diagnostics["gap"] <= 1e-8
     assert s.diagnostics["minimax_residual"] <= 1e-8
 
@@ -38,8 +39,8 @@ def test_matrix_game_constant_and_pennies():
     assert s.value == pytest.approx(0.37)
     s = solve_matrix_game(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert s.value == pytest.approx(0.5)
-    assert np.allclose(s.row_strategy, [0.5, 0.5])
-    assert np.allclose(s.col_strategy, [0.5, 0.5])
+    assert np.allclose(s.delta, [0.5, 0.5])
+    assert np.allclose(s.alpha, [0.5, 0.5])
 
 
 def test_matrix_game_saddle_stability_random():
@@ -48,8 +49,8 @@ def test_matrix_game_saddle_stability_random():
         u = rng.uniform(size=(int(rng.integers(2, 5)), int(rng.integers(2, 5))))
         s = solve_matrix_game(u)
         # no pure deviation helps either player
-        assert (s.row_strategy @ u).max() <= s.value + 1e-8
-        assert (u @ s.col_strategy).min() >= s.value - 1e-8
+        assert (s.delta @ u).max() <= s.value + 1e-8
+        assert (u @ s.alpha).min() >= s.value - 1e-8
 
 
 def test_matrix_game_affine_invariance():
@@ -60,8 +61,8 @@ def test_matrix_game_affine_invariance():
         s0 = solve_matrix_game(u)
         s1 = solve_matrix_game(a * u + b)
         assert s1.value == pytest.approx(a * s0.value + b, abs=1e-8)
-        assert np.array_equal(s0.row_strategy > 1e-9, s1.row_strategy > 1e-9)
-        assert np.array_equal(s0.col_strategy > 1e-9, s1.col_strategy > 1e-9)
+        assert np.array_equal(s0.delta > 1e-9, s1.delta > 1e-9)
+        assert np.array_equal(s0.alpha > 1e-9, s1.alpha > 1e-9)
 
 
 def test_closed_form_demo_and_boundaries():
@@ -231,20 +232,84 @@ def test_prune_pieces_keeps_every_branch_value():
 
 
 def test_formulation_follows_row_counts():
-    # one piece per group: the defender LP (4 + 2 + 1 rows) beats the
-    # attacker LP (1 + 4 + 5 rows)
+    # one piece per group, all substituted out: the defender LP (2 + 1
+    # rows) beats the attacker LP (1 + 5 rows)
     rng = np.random.default_rng(31)
     narrow = [rng.uniform(size=(2, 1, 5)) for _ in range(2)]
     s = solve_convex_linear_game(narrow)
     assert s.diagnostics["formulation"] == "defender"
-    assert s.diagnostics["lp_rows"] == 7
+    assert s.diagnostics["lp_rows"] == 3
     # many binding pieces per group and few delta coordinates: attacker LP
     wide = [rng.uniform(size=(2, 6, 2)) for _ in range(3)]
     s = solve_convex_linear_game(wide)
-    kept = s.diagnostics["pieces_kept"]
+    sizes = np.concatenate([binding_pieces(p).sum(axis=1) for p in wide])
+    assert s.diagnostics["pieces_kept"] == sizes.sum()
     assert s.diagnostics["pieces_total"] == 36
+    defender_rows = sizes[sizes > 1].sum() + 3 + 1
+    attacker_rows = 1 + (sizes > 1).sum() + 2
     assert s.diagnostics["formulation"] == (
-        "attacker" if 1 + 6 + 2 < kept + 3 + 1 else "defender")
+        "attacker" if attacker_rows < defender_rows else "defender")
+    assert s.diagnostics["lp_rows"] == min(attacker_rows, defender_rows)
+
+
+def _reference_matrix_game_lp(u):
+    """The matrix game's row-player LP as written out before matrix games
+    became one-piece convex games: variables (delta, v), min v."""
+    n_d, n_a = u.shape
+    c = np.zeros(n_d + 1)
+    c[-1] = 1.0
+    rows = []
+    for a in range(n_a):
+        row = np.zeros(n_d + 1)
+        row[:n_d] = u[:, a]
+        row[-1] = -1.0
+        rows.append((row, LESS, 0.0))
+    srow = np.zeros(n_d + 1)
+    srow[:n_d] = 1.0
+    rows.append((srow, EQUAL, 1.0))
+    return LinearProgram.build(c, rows, sense="min", free=[n_d])
+
+
+def _reference_matrix_game_dual_lp(u):
+    """Its column-player LP: variables (alpha, w), max w."""
+    n_d, n_a = u.shape
+    c = np.zeros(n_a + 1)
+    c[-1] = 1.0
+    rows = []
+    for d in range(n_d):
+        row = np.zeros(n_a + 1)
+        row[:n_a] = -u[d, :]
+        row[-1] = 1.0
+        rows.append((row, LESS, 0.0))
+    srow = np.zeros(n_a + 1)
+    srow[:n_a] = 1.0
+    rows.append((srow, EQUAL, 1.0))
+    return LinearProgram.build(c, rows, sense="max", free=[n_a])
+
+
+def _row_keys(lp):
+    return [(rel, rhs, tuple(coeffs)) for coeffs, rel, rhs in lp.rows]
+
+
+def test_one_piece_convex_game_lps_are_the_matrix_game_lps():
+    rng = np.random.default_rng(32)
+    for _ in range(40):
+        u = rng.uniform(-1.0, 2.0, size=(int(rng.integers(1, 6)), int(rng.integers(1, 6))))
+        u[rng.random(u.shape) < 0.2] = 0.0
+        pieces = [u[:, a].reshape(1, 1, -1) for a in range(u.shape[1])]
+        ref = _reference_matrix_game_lp(u)
+        for lp in (convex_game_lp(pieces)[0], matrix_game_lp(u)):
+            assert lp.sense == ref.sense
+            assert np.array_equal(lp.c, ref.c)
+            assert np.array_equal(lp.free, ref.free)
+            assert _row_keys(lp) == _row_keys(ref)
+        assert convex_game_lp(pieces)[1:] == (u.shape[0], list(range(u.shape[1])))
+        dual, n_a = convex_game_attacker_lp(pieces)
+        ref = _reference_matrix_game_dual_lp(u)
+        assert n_a == u.shape[1] and dual.sense == ref.sense
+        assert np.array_equal(dual.c, ref.c)
+        assert np.array_equal(dual.free, ref.free)
+        assert sorted(_row_keys(dual)) == sorted(_row_keys(ref))
 
 
 GAIN_VALUES = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 2.0])
@@ -272,10 +337,7 @@ def convex_games(draw):
 @given(convex_games())
 def test_pruned_chosen_formulation_matches_unpruned_defender_lp(pieces):
     s = solve_convex_linear_game(pieces)
-    lp, _, _ = convex_game_lp(pieces)
-    reference = lp_solve(lp)
-    assert reference.optimal
-    assert s.value == pytest.approx(reference.objective, abs=1e-9)
+    assert s.value == pytest.approx(_highs_convex_game_value(pieces), abs=1e-9)
 
 
 @settings(max_examples=150, deadline=None)
@@ -351,3 +413,18 @@ def test_4bit_checker_random_priors_match_highs():
         assert sol.recompute_value(game) == pytest.approx(sol.value, abs=1e-9)
         assert sol.diagnostics["formulation"] == "attacker"
         assert sol.diagnostics["pieces_total"] == 1280
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_5bit_checker_census_matches_highs(seed):
+    # every seed of the census, none dropped
+    pytest.importorskip("scipy")
+    labels = secret_labels(5)
+    prior = Prior(dict(zip(labels, np.random.default_rng(seed).dirichlet(np.ones(32)))))
+    game = build_game(5, prior)
+    pieces = [hidden_branch_pieces(game, a) for a in game.attackers]
+    sol = solve(game, "IV")
+    assert sol.value == pytest.approx(_highs_convex_game_value(pieces), abs=1e-9)
+    delta = np.array([sol.defender["dist"][d] for d in game.defenders])
+    assert max(branch_value(p, delta) for p in pieces) == pytest.approx(sol.value, abs=1e-9)
+    assert sol.recompute_value(game) == pytest.approx(sol.value, abs=1e-9)

@@ -293,15 +293,17 @@ def _tableau_lp_solve(program):
             raise SolverError("phase 1 reported unbounded; its objective is bounded below")
         if -tableau[m, -1] > simplex.FEAS_TOL:
             return "infeasible", None
-        keep = []
+        # an artificial left in a zero row marks its own row as redundant
+        drop = []
         for i in range(m):
             if basis[i] >= n_std:
                 nonzero = np.flatnonzero(np.abs(tableau[i, :n_std]) > simplex.PIVOT_TOL)
                 if not nonzero.size:
+                    drop.append(i)
                     continue
                 _tableau_pivot(tableau, basis, i, int(nonzero[0]))
-            keep.append(i)
-        A, b, basis = A[keep], b[keep], basis[keep]
+        rows = art[basis[drop] - n_std]
+        A, b, basis = np.delete(A, rows, axis=0), np.delete(b, rows), np.delete(basis, drop)
     c0 = program.c if program.sense == "min" else -program.c
     c = np.zeros(n_std)
     c[:n_main] = c0[col_index] * col_sign
