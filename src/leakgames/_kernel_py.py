@@ -1,20 +1,28 @@
 """Numpy revised-simplex pivot loop, the one kernel behind leakgames.simplex.
 
 The loop carries ``work = [B^-1 | x_B ; -y | -z]``, (m+1) x (m+1), for
-the basis B: each pivot prices all columns, d = c - yA, forms the
-entering column B^-1 a_j and applies the tableau pivot's row operations
-to ``work`` alone (the tableau is ``work`` times [A | b]).
+the basis B.  It prices all columns once per call, d = c - yA from the
+reinverted y; each pivot then forms the pivot row e_r^T B^-1 A (its one
+product with all of A), updates d and the pricing weights from it,
+forms the entering column B^-1 a_j and applies the tableau pivot's row
+operations to ``work`` alone (the tableau is ``work`` times [A | b]).
 
-Entering column: Dantzig's rule (most negative d_j); if its pivot is
-narrow, below SMALL_PIVOT and SMALL_RELATIVE times its column's largest
-entry, the next best columns are tried for a wider one.  Leaving row: Harris's ratio test
-(ratios within HARRIS_TOL of the bound tie), largest pivot, then lowest
-basic index.  After STALL_LIMIT consecutive degenerate pivots, Bland's
-rule (lowest index, exact ties) holds until a non-degenerate pivot; the
-count lives in ``state``, where the caller also sees the stall.  REFRESH
-asks for a reinversion after too much amplification from small pivots,
-or at a tiny pivot on an inverse that is not fresh.  ``dual_pivot``
-repairs an optimal basis whose exact values are infeasible.
+Entering column: Devex pricing (Harris, Math. Prog. 5, 1973), the
+largest d_j^2 / w_j among d_j < -tol.  The reference weights w, one per
+column, are kept by the caller, updated from the pivot row, and reset
+to 1 once an entering column's weight exceeds DEVEX_RESET.  If the
+chosen pivot is narrow, below SMALL_PIVOT and SMALL_RELATIVE times its
+column's largest entry, the other improving columns are tried in score
+order for a wider one.  Leaving row: Harris's ratio test (ratios within
+HARRIS_TOL of the bound tie), largest pivot, then lowest basic index; a
+leaving value below 0 (rounding) is set to 0 first, so the step is the
+ratio test's and never goes backwards.  After STALL_LIMIT consecutive
+degenerate pivots, Bland's rule (lowest index, exact ties) holds until
+a non-degenerate pivot; the count lives in ``state``, where the caller
+also sees the stall.  REFRESH asks for a reinversion after too much
+amplification from small pivots, or at a tiny pivot on an inverse that
+is not fresh.  ``dual_pivot`` repairs an optimal basis whose exact
+values are infeasible.
 """
 
 from __future__ import annotations
@@ -30,30 +38,34 @@ DEGENERATE_STEP = 1e-12
 STALL_LIMIT = 40
 HARRIS_TOL = 1e-12
 SMALL_RELATIVE = 1e-6
+DEVEX_RESET = 1e12
 
 
 def run_simplex(work: np.ndarray, basis: np.ndarray, A: np.ndarray, c: np.ndarray,
-                tol: float, max_iter: int, state: np.ndarray) -> tuple[int, int]:
-    """Pivot ``work`` (for the columns ``basis`` of A, x_B >= 0) and
-    ``basis`` in place until optimal or a refresh is due; the caller
-    reinverts between calls.  Returns (status, iterations)."""
+                tol: float, max_iter: int, state: np.ndarray,
+                weights: np.ndarray) -> tuple[int, int]:
+    """Pivot ``work`` (for the columns ``basis`` of A, x_B >= 0),
+    ``basis`` and the Devex ``weights`` in place until optimal or a
+    refresh is due; the caller reinverts between calls, keeping
+    ``state`` and ``weights`` across them.  Returns (status, iterations)."""
     m = A.shape[0]
     amplification = 1.0
+    d = c + work[m, :m] @ A
+    d[basis] = 0.0
     for it in range(max_iter):
         if amplification > AMPLIFICATION_CAP:
             return REFRESH, it
-        d = c + work[m, :m] @ A
-        d[basis] = 0.0
-        bland = state[0] >= STALL_LIMIT
-        j = int(np.argmax(d < -tol) if bland else np.argmin(d))
-        if d[j] >= -tol:
+        improving = np.flatnonzero(d < -tol)
+        if improving.size == 0:
             return OPTIMAL, it
+        bland = state[0] >= STALL_LIMIT
+        score = d[improving] ** 2 / weights[improving]
+        j = int(improving[0] if bland else improving[np.argmax(score)])
         step = _ratio_test(work, basis, A, d, j, tol, bland)
         if step is None:
             return UNBOUNDED, it
         if not bland and step[3]:
-            improving = np.flatnonzero(d < -tol)
-            for k in improving[np.argsort(d[improving], kind="stable")][1:]:
+            for k in improving[np.argsort(-score, kind="stable")][1:]:
                 other = _ratio_test(work, basis, A, d, int(k), tol, bland)
                 if other is not None and not other[3]:
                     j, step = int(k), other
@@ -66,8 +78,16 @@ def run_simplex(work: np.ndarray, basis: np.ndarray, A: np.ndarray, c: np.ndarra
         if pivot < SMALL_PIVOT:
             amplification *= SMALL_PIVOT / pivot
         state[0] = state[0] + 1 if best <= DEGENERATE_STEP else 0
+        row = work[r, :m] @ A / pivot
+        np.maximum(weights, row * row * weights[j], out=weights)
+        weights[basis[r]] = max(weights[j] / (pivot * pivot), 1.0)
+        if weights[j] > DEVEX_RESET:
+            weights[:] = 1.0
+        d -= d[j] * row
+        work[r, m] = max(work[r, m], 0.0)
         pivot_on(work, r, col)
         basis[r] = j
+        d[basis] = 0.0
     return ITERATION_LIMIT, max_iter
 
 

@@ -193,16 +193,19 @@ class EquivalenceResult:
 def _classes(data: np.ndarray, tol: float) -> np.ndarray:
     """Class of each column of ``data``; -1 marks a zero column.
 
-    A column whose largest entry is <= tol is zero.  Any other column
-    joins the first class whose posterior (the first member divided by
-    its sum) lies within tol / mass of its own posterior in L-infinity,
-    mass being the column's sum, so that mass times the class posterior
-    rebuilds the column within tol.  Otherwise it starts a new class.
+    A column whose largest entry is <= tol is zero.  The others are
+    taken heaviest first, ties broken by their entries, so the grouping
+    does not depend on the order of the columns.  Each joins the first
+    class whose posterior (the first member divided by its sum) lies
+    within tol / mass of its own posterior in L-infinity, mass being the
+    column's sum, so that mass times the class posterior rebuilds the
+    column within tol.  Otherwise it starts a new class.
     """
     mass = data.sum(axis=0)
     classes = np.full(data.shape[1], -1)
     reps = np.empty((0, data.shape[0]))
-    for j in np.flatnonzero(data.max(axis=0) > tol):
+    order = np.lexsort(np.vstack([data[::-1], -mass]))
+    for j in order[data.max(axis=0)[order] > tol]:
         post = data[:, j] / mass[j]
         hits = np.flatnonzero(np.abs(reps - post).max(axis=1) <= tol / mass[j])
         if hits.size:
@@ -237,10 +240,12 @@ def equivalent(c1: Channel, c2: Channel, tol: float = 1e-7) -> EquivalenceResult
     and every convex vulnerability) when each is a stochastic
     post-processing of the other, that is, when their reduced forms
     agree: zero columns dropped, proportional columns grouped and added
-    up.  The columns of both channels are grouped at once (``_classes``),
-    a witness R per direction is read off the grouping (``_witness``),
-    and the verdict is the check that ``base @ R`` rebuilds the target
-    within ``tol`` in every entry, c1 from c2 first, then c2 from c1.
+    up.  The columns of both channels are grouped at once, heaviest
+    first, so the grouping and the verdict do not depend on the order of
+    the arguments (``_classes``); a witness R per direction is read off
+    the grouping (``_witness``); and the verdict is the check that
+    ``base @ R`` rebuilds the target within ``tol`` in every entry, c1
+    from c2 first, then c2 from c1.
     ``residual`` is the largest error of the directions checked, and a
     not-equivalent verdict names the first target column whose error
     exceeds ``tol``: a place where the reduced forms differ, not a sign

@@ -1,13 +1,18 @@
 """Self-contained dense linear programming: a two-phase revised primal
 simplex for the small, exactness-sensitive programs this package
 produces (matrix games, epigraph formulations, convex-hull membership).
-The same input always follows the same pivot path.  It carries the
-dense inverse of the basis, (m+1) x (m+1) whatever the number of
-columns: ``_run_phase`` drives the pivot loop of leakgames._kernel_py,
-reached through the module global ``_kernel``, and ``_refactor``
-reinverts the basis between its calls.  Variables are nonnegative or
-free (a difference of two nonnegative ones); general upper bounds are
-out of scope.  LEAKGAMES_LOG=DEBUG logs LP sizes and objectives.
+With one BLAS setting the same input always follows the same pivot
+path (the BLAS thread count changes the rounding of its products, and
+so the path can change with it).  It carries the dense inverse of the
+basis, (m+1) x (m+1) whatever the number of columns: ``_run_phase``
+drives the pivot loop of leakgames._kernel_py (Devex pricing), reached
+through the module global ``_kernel``, and ``_refactor`` reinverts the
+basis between its calls.  Phase 1 starts from the slack/artificial
+basis after a triangular crash (``_crash``) puts free and structural
+columns in on rows whose right-hand side is 0; when no artificial is
+left in it, phase 1 is skipped.  Variables are nonnegative or free (a
+difference of two nonnegative ones); general upper bounds are out of
+scope.  LEAKGAMES_LOG=DEBUG logs LP sizes and objectives.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-8
 REFACTOR_EVERY = 64
 PERTURBATION = 1e-11
+TABOO = 1e100
 
 LESS, EQUAL, GREATER = "<=", "=", ">="
 
@@ -124,18 +130,23 @@ def _run_phase(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray,
     counts only when made on a fresh inverse.  Once the kernel stalls,
     b is perturbed so that each basic value grows by PERTURBATION,
     relative, until the next optimum; then the true b is restored, and
-    dual pivots repair what it makes infeasible.
+    dual pivots repair what it makes infeasible.  A reinversion that
+    fails (singular, or values below -1e-7) sends the phase back to the
+    last basis that reinverted, with the columns that entered since
+    given the Devex weight TABOO, so they are priced last; a second
+    failure in a row raises SolverError.
     """
     iterations, target = 0, b
-    state = np.zeros(1, dtype=np.int64)
+    state, weights = np.zeros(1, dtype=np.int64), np.ones(A.shape[1])
     work, y = _refactor(A, b, c, basis)
+    good = basis.copy(), b
     while True:
         budget = min(REFACTOR_EVERY, max_iter - iterations)
         if budget <= 0:
             return _kernel_py.ITERATION_LIMIT, work, y, iterations
         x_B = work[:-1, -1].copy()          # the reinverted values, unclipped
         np.clip(x_B, 0.0, None, out=work[:-1, -1])
-        status, its = _kernel.run_simplex(work, basis, A, c, PIVOT_TOL, budget, state)
+        status, its = _kernel.run_simplex(work, basis, A, c, PIVOT_TOL, budget, state, weights)
         repair = its == 0 and status == _kernel_py.OPTIMAL
         if state[0] >= _kernel_py.STALL_LIMIT and b is target:
             state[0] = 0
@@ -150,7 +161,17 @@ def _run_phase(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray,
         elif its == 0 and status == _kernel_py.UNBOUNDED:
             return status, work, y, iterations
         iterations += its
-        work, y = _refactor(A, b, c, basis, its, -np.inf if repair else -1e-7)
+        try:
+            work, y = _refactor(A, b, c, basis, its, -np.inf if repair else -1e-7)
+        except SolverError:
+            if good is None:
+                raise
+            weights[np.setdiff1d(basis, good[0])] = TABOO
+            basis[:], b = good
+            work, y = _refactor(A, b, c, basis)
+            good = None
+        else:
+            good = basis.copy(), b
 
 
 def _row_arrays(lp: LinearProgram):
@@ -189,6 +210,37 @@ def _standard_form(A: np.ndarray, b: np.ndarray, slack: np.ndarray, free: np.nda
     return A_std, b_std, slack_std, flip / scale, col_index, col_sign
 
 
+def _crash(A: np.ndarray, b: np.ndarray, free_cols: np.ndarray, basis: np.ndarray) -> None:
+    """Swap columns of A into the slack/artificial start ``basis`` (in
+    place; artificials are numbered from A's column count) on rows
+    whose b is 0: first each free column, then one column per
+    artificial row (Bixby, ORSA J. Computing 4(3), 1992).  A column
+    enters on a row where its entry is at least SMALL_PIVOT in size, and
+    only if it is zero on every row chosen before, so the basis is
+    triangular on the swapped rows, hence nonsingular; as b is 0 there,
+    x_B stays b.  Rows with no such column keep their slack or
+    artificial."""
+    open_rows = b == 0.0
+    if not open_rows.any():
+        return
+    wide = np.abs(A) >= _kernel_py.SMALL_PIVOT
+    touched = np.zeros(A.shape[1], dtype=bool)      # nonzero on a chosen row
+
+    def swap(r, j):
+        basis[r] = j
+        open_rows[r] = False
+        touched[A[r] != 0.0] = True
+
+    for j in free_cols:
+        rows = np.flatnonzero(open_rows & wide[:, j])
+        if rows.size and not touched[j]:
+            swap(rows[0], j)
+    for r in np.flatnonzero(open_rows & (basis >= A.shape[1])):
+        cols = np.flatnonzero(wide[r] > touched)    # wide and untouched
+        if cols.size:
+            swap(r, cols[0])
+
+
 def lp_solve(lp: LinearProgram) -> LPSolution:
     """Solve ``lp`` and return primal values, row duals and the duality gap.
 
@@ -217,10 +269,11 @@ def lp_solve(lp: LinearProgram) -> LPSolution:
     log.debug("lp_solve: %d rows, %d std cols, %d artificials", m, n_std, n_art)
 
     keep_rows = np.arange(m)
-    if n_art:
+    _crash(A_std, b_std, np.flatnonzero(free), basis)
+    if (basis >= n_std).any():
         # phase 1: minimise the sum of artificials
         A1 = np.hstack([A_std, np.zeros((m, n_art))])
-        A1[need_artificial, basis[need_artificial]] = 1.0
+        A1[need_artificial, n_std + np.arange(n_art)] = 1.0
         c1 = np.concatenate([np.zeros(n_std), np.ones(n_art)])
         status, work, _, its = _run_phase(A1, b_std, c1, basis, max_iter)
         iterations += its

@@ -152,6 +152,23 @@ def test_equivalent_mix_with_self():
     assert result.residual <= 1e-12
 
 
+def test_equivalent_verdict_does_not_depend_on_argument_order():
+    # c1 is a visible self-mix of c2 with 1e-8 moved within row x0; the
+    # light moved column must not become the representative that c2's
+    # heavy column has to match within tol / mass
+    secrets = ("x0", "x1", "x2")
+    c2 = channel(secrets, ("y0", "y1", "y2"),
+                 [[0.1, 0.7, 0.2], [0.125, 0.875, 0.0], [0.125, 0.875, 0.0]])
+    low = [0.0625, 0.4375, 0.0, 0.0625, 0.4375, 0.0]
+    c1 = channel(secrets, tuple(f"z{j}" for j in range(6)),
+                 [[0.04999999, 0.35, 0.10000001, 0.05, 0.35, 0.1], low, low])
+    assert max(_lp_residuals(c1, c2)) <= TOL
+    for first, second in ((c1, c2), (c2, c1)):
+        result = equivalent(first, second, tol=TOL)
+        assert result.equivalent
+        _check_witnesses(first, second, result)
+
+
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-7])
 def test_equivalent_rejects_bad_tolerance(tol):
     with pytest.raises(ValueError, match="finite and positive"):
@@ -412,6 +429,7 @@ def test_equivalent_agrees_with_lp_fit(pair, scale, swap, data):
     result = equivalent(c1, c2, tol=TOL)
     r12, r21 = _lp_residuals(c1, c2)
     assert result.equivalent == (max(r12, r21) <= TOL) == (scale < 1)
+    assert equivalent(c2, c1, tol=TOL).equivalent == result.equivalent
     if result.equivalent:
         _check_witnesses(c1, c2, result)
     else:

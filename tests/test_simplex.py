@@ -1,4 +1,5 @@
 import contextlib
+import functools
 
 import numpy as np
 import pytest
@@ -361,8 +362,7 @@ def _assert_matches_references(program):
 
 
 @st.composite
-def attacker_form_lps(draw):
-    """Column-player LPs of convex games: one equality row per (a, y)."""
+def convex_game_pieces(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n_d, n_a = draw(st.integers(1, 5)), draw(st.integers(1, 4))
     coarse = draw(st.booleans())       # few distinct values: many ties
@@ -370,9 +370,19 @@ def attacker_form_lps(draw):
     for _ in range(n_a):
         shape = (int(rng.integers(1, 5)), int(rng.integers(1, 5)), n_d)
         pieces.append(rng.integers(0, 3, size=shape) / 4 if coarse else rng.uniform(size=shape))
-    if draw(st.booleans()):
-        pieces = prune_pieces(pieces)
-    return convex_game_attacker_lp(pieces)[0]
+    return prune_pieces(pieces) if draw(st.booleans()) else pieces
+
+
+@st.composite
+def attacker_form_lps(draw):
+    """Column-player LPs of convex games: one equality row per (a, y)."""
+    return convex_game_attacker_lp(draw(convex_game_pieces()))[0]
+
+
+@st.composite
+def defender_form_lps(draw):
+    """Epigraph LPs of convex games: free t and z on rows with rhs 0."""
+    return convex_game_lp(draw(convex_game_pieces()))[0]
 
 
 def _random_rows(rng, n, m):
@@ -457,6 +467,12 @@ def test_attacker_form_lps_match_references(program):
     _assert_matches_references(program)
 
 
+@settings(max_examples=100, deadline=None)
+@given(defender_form_lps())
+def test_defender_form_lps_match_references(program):
+    _assert_matches_references(program)
+
+
 @settings(max_examples=150, deadline=None)
 @given(mixed_relation_lps())
 def test_mixed_relation_lps_match_references(program):
@@ -491,6 +507,97 @@ def test_checker_lps_match_references():
         _assert_matches_references(convex_game_attacker_lp(kept)[0])
         if n == 3:
             _assert_matches_references(convex_game_lp(kept)[0])
+
+
+# --- the crash basis and the phase-1 pivots it saves -----------------------
+
+def _crashed_start(program):
+    """The phase-1 matrix of ``program``'s standard form (artificial
+    columns last), its b, and the basis before and after ``_crash``."""
+    A, b, slack, _, col_index, _ = _standard_form(*_row_arrays(program), program.free)
+    (m, n_std), n_main = A.shape, col_index.shape[0]
+    art = np.flatnonzero(slack != 1.0)
+    start = np.empty(m, dtype=np.int64)
+    start[slack != 0.0] = np.arange(n_main, n_std)
+    start[art] = n_std + np.arange(art.size)
+    A1 = np.hstack([A, np.zeros((m, art.size))])
+    A1[art, n_std + np.arange(art.size)] = 1.0
+    basis = start.copy()
+    simplex._crash(A, b, np.flatnonzero(program.free), basis)
+    return A1, b, start, basis
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(attacker_form_lps(), defender_form_lps(), mixed_relation_lps(),
+                 redundant_equality_lps()))
+def test_crash_basis_is_nonsingular_and_keeps_the_start_values(program):
+    A1, b, start, basis = _crashed_start(program)
+    swapped = basis != start
+    assert (b[swapped] == 0.0).all()
+    assert np.unique(basis).size == basis.size
+    B = A1[:, basis]
+    assert np.linalg.matrix_rank(B) == B.shape[0]
+    # the start basis is unit columns, so its values are b itself
+    assert np.abs(np.linalg.solve(B, b) - b).max(initial=0.0) <= 1e-12
+    # and the crash leaves it where no row has b = 0
+    if (b != 0.0).all():
+        assert not swapped.any()
+
+
+def _checker_attacker_lp(n, prior):
+    game = build_game(n, prior)
+    kept = prune_pieces([hidden_branch_pieces(game, a) for a in game.attackers])
+    return convex_game_attacker_lp(kept)[0]
+
+
+@pytest.mark.parametrize("n, prior", [(3, None), (3, "prior_a"), (4, None)])
+def test_crash_leaves_phase_1_at_most_two_pivots(monkeypatch, n, prior):
+    # _run_phase wrapped as perfbench/spans.py wraps it; in phase 1 only
+    # the artificials cost anything
+    calls = []
+    original = simplex._run_phase
+
+    def run_phase(A, b, c, basis, max_iter):
+        live = np.flatnonzero(c[basis] > 0.0)
+        result = original(A, b, c, basis, max_iter)
+        calls.append((live, b[live], result[3]))
+        return result
+
+    monkeypatch.setattr(simplex, "_run_phase", run_phase)
+    prior = Prior.uniform(secret_labels(n)) if prior is None else bundled_prior(prior)
+    program = _checker_attacker_lp(n, prior)
+    assert lp_solve(program).optimal
+    live, level, pivots = calls[0]
+    # the crash filled every group row (sum_w beta = alpha, rhs 0); the
+    # simplex row, the first, keeps the one artificial, at level 1
+    assert live.tolist() == [0] and level.tolist() == [1.0]
+    assert len(calls) == 2 and pivots <= 2
+
+
+def test_failed_reinversion_goes_back_to_the_last_good_basis(monkeypatch):
+    program = _checker_attacker_lp(3, bundled_prior("pihat"))
+    expected = lp_solve(program)
+    original, after_pivots = simplex._refactor, []
+
+    def failing(fail_at, A, b, c, basis, pivots=0, floor=-1e-7):
+        # count the reinversions that follow pivots and fail the listed ones
+        if pivots:
+            after_pivots.append(pivots)
+            if len(after_pivots) in fail_at:
+                raise SolverError("simplex lost primal feasibility (injected)")
+        return original(A, b, c, basis, pivots, floor)
+
+    monkeypatch.setattr(simplex, "_refactor", functools.partial(failing, (1,)))
+    got = lp_solve(program)
+    assert got.optimal and len(after_pivots) > 1
+    assert got.objective == pytest.approx(expected.objective, rel=1e-12, abs=1e-12)
+    assert got.gap <= 1e-9 and got.max_residual <= 1e-9
+
+    # the first reinversion after going back fails too
+    after_pivots.clear()
+    monkeypatch.setattr(simplex, "_refactor", functools.partial(failing, (1, 2)))
+    with pytest.raises(SolverError, match="injected"):
+        lp_solve(program)
 
 
 # --- near-degenerate L-infinity fit LPs ------------------------------------
