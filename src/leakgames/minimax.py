@@ -265,25 +265,23 @@ def convex_game_lp(pieces) -> tuple[LinearProgram, int, list]:
     ps = PieceSet.from_arrays(pieces)
     alone = ps.alone
     groups, t_of = ps.shared
-    n_d, n_t, n_p = ps.n_d, groups.shape[0], t_of.shape[0]
+    n_d, n_t, n_p, n_a = ps.n_d, groups.shape[0], t_of.shape[0], ps.n_a
     nvar = n_d + n_t + 1  # delta, t, z
-    z = nvar - 1
     c = np.zeros(nvar)
-    c[z] = 1.0
-    piece_rows = np.zeros((n_p, nvar))
-    piece_rows[:, :n_d] = ps.k[~alone]
-    piece_rows[np.arange(n_p), n_d + t_of] = -1.0
-    per_a_rows = np.zeros((ps.n_a, nvar))
-    per_a_rows[ps.branch[groups], n_d + np.arange(n_t)] = 1.0
-    np.add.at(per_a_rows[:, :n_d], ps.branch[ps.group[alone]], ps.k[alone])
-    per_a_rows[:, z] = -1.0
-    srow = np.zeros(nvar)
-    srow[:n_d] = 1.0
-    rows = [(row, LESS, 0.0) for row in piece_rows]
-    rows += [(row, LESS, 0.0) for row in per_a_rows]
-    rows.append((srow, EQUAL, 1.0))
-    lp = LinearProgram.build(c, rows, sense="min", free=range(n_d, nvar))
-    return lp, n_d, list(range(n_p, n_p + ps.n_a))
+    c[-1] = 1.0
+    A = np.zeros((n_p + n_a + 1, nvar))    # piece rows, per-a rows, simplex row
+    A[:n_p, :n_d] = ps.k[~alone]
+    A[np.arange(n_p), n_d + t_of] = -1.0
+    per_a = A[n_p:n_p + n_a]
+    per_a[ps.branch[groups], n_d + np.arange(n_t)] = 1.0
+    np.add.at(per_a[:, :n_d], ps.branch[ps.group[alone]], ps.k[alone])
+    per_a[:, -1] = -1.0
+    A[-1, :n_d] = 1.0
+    b = np.zeros(n_p + n_a + 1)
+    b[-1] = 1.0
+    lp = LinearProgram.build(c, A, np.repeat([LESS, EQUAL], [n_p + n_a, 1]), b,
+                             sense="min", free=range(n_d, nvar))
+    return lp, n_d, list(range(n_p, n_p + n_a))
 
 
 def convex_game_attacker_lp(pieces) -> tuple[LinearProgram, int]:
@@ -299,24 +297,23 @@ def convex_game_attacker_lp(pieces) -> tuple[LinearProgram, int]:
     ps = PieceSet.from_arrays(pieces)
     alone = ps.alone
     groups, t_of = ps.shared
-    n_a, n_p = ps.n_a, t_of.shape[0]
+    n_a, n_g, n_p = ps.n_a, groups.shape[0], t_of.shape[0]
     nvar = n_a + n_p + 1
-    gamma = nvar - 1
     c = np.zeros(nvar)
-    c[gamma] = 1.0
-    srow = np.zeros(nvar)
-    srow[:n_a] = 1.0
-    group_rows = np.zeros((groups.shape[0], nvar))
-    group_rows[t_of, n_a + np.arange(n_p)] = 1.0
-    group_rows[np.arange(groups.shape[0]), ps.branch[groups]] = -1.0
-    d_rows = np.zeros((ps.n_d, nvar))
-    d_rows[:, gamma] = 1.0
-    d_rows[:, n_a:gamma] = -ps.k[~alone].T
+    c[-1] = 1.0
+    A = np.zeros((1 + n_g + ps.n_d, nvar))     # simplex row, group rows, per-d rows
+    A[0, :n_a] = 1.0
+    A[1 + t_of, n_a + np.arange(n_p)] = 1.0
+    A[1 + np.arange(n_g), ps.branch[groups]] = -1.0
+    d_rows = A[1 + n_g:]
+    d_rows[:, -1] = 1.0
+    d_rows[:, n_a:-1] = -ps.k[~alone].T
     np.subtract.at(d_rows.T, ps.branch[ps.group[alone]], ps.k[alone])
-    rows = [(srow, EQUAL, 1.0)]
-    rows += [(row, EQUAL, 0.0) for row in group_rows]
-    rows += [(row, LESS, 0.0) for row in d_rows]
-    return LinearProgram.build(c, rows, sense="max", free=[gamma]), n_a
+    b = np.zeros(A.shape[0])
+    b[0] = 1.0
+    lp = LinearProgram.build(c, A, np.repeat([EQUAL, LESS], [1 + n_g, ps.n_d]), b,
+                             sense="max", free=[nvar - 1])
+    return lp, n_a
 
 
 def solve_convex_linear_game(pieces) -> ConvexGameSolution:
@@ -333,7 +330,7 @@ def solve_convex_linear_game(pieces) -> ConvexGameSolution:
         lp, n_a = convex_game_attacker_lp(kept)
         sol = require_optimal(lp_solve(lp), "convex game LP")
         alpha = _distribution(sol.x[:n_a])
-        delta = _distribution(sol.duals[len(lp.rows) - kept.n_d:])
+        delta = _distribution(sol.duals[-kept.n_d:])
     else:
         formulation = "defender"
         lp, n_d, branch_rows = convex_game_lp(kept)
@@ -344,7 +341,7 @@ def solve_convex_linear_game(pieces) -> ConvexGameSolution:
         value=float(sol.objective), delta=delta, alpha=alpha,
         diagnostics={
             "gap": sol.gap, "iterations": sol.iterations,
-            "lp_rows": len(lp.rows), "lp_cols": lp.n_vars,
+            "lp_rows": lp.b.shape[0], "lp_cols": lp.n_vars,
             "formulation": formulation,
             "pieces_total": sum(p.shape[0] * p.shape[1] for p in arrays),
             "pieces_kept": int(kept.k.shape[0]),
@@ -360,20 +357,15 @@ def branch_value(pieces_a: np.ndarray, delta: np.ndarray) -> float:
 def optimal_coordinate_range(lp: LinearProgram, optimum: float, coord: int,
                              slack: float = 1e-9) -> tuple[float, float]:
     """Range of one variable over the (near-)optimal face of ``lp``."""
-    if lp.sense == "min":
-        pin = (np.array(lp.c), LESS, optimum + slack)
-    else:
-        pin = (-np.array(lp.c), LESS, -(optimum - slack))
-    rows = list(lp.rows) + [pin]
-    free = np.flatnonzero(lp.free) if lp.free is not None else None
+    sign = 1.0 if lp.sense == "min" else -1.0
+    A = np.vstack([lp.A, sign * lp.c])      # pin: sign * c.x <= sign * optimum + slack
+    b = np.append(lp.b, sign * optimum + slack)
+    relations = np.append(lp.relations, LESS)
     e = np.zeros(lp.n_vars)
     e[coord] = 1.0
-    lo = require_optimal(
-        lp_solve(LinearProgram.build(e, rows, sense="min", free=free)),
-        "range probe").objective
-    hi = require_optimal(
-        lp_solve(LinearProgram.build(e, rows, sense="max", free=free)),
-        "range probe").objective
+    free = np.flatnonzero(lp.free)
+    lo, hi = (require_optimal(lp_solve(LinearProgram.build(e, A, relations, b, sense, free)),
+                              "range probe").objective for sense in ("min", "max"))
     return float(lo), float(hi)
 
 

@@ -1,13 +1,16 @@
 """Self-contained dense linear programming: a two-phase revised primal
 simplex for the small, exactness-sensitive programs this package
 produces (matrix games, epigraph formulations, convex-hull membership).
-With one BLAS setting the same input always follows the same pivot
-path (the BLAS thread count changes the rounding of its products, and
-so the path can change with it).  It carries the dense inverse of the
-basis, (m+1) x (m+1) whatever the number of columns: ``_run_phase``
-drives the pivot loop of leakgames._kernel_py (Devex pricing), reached
-through the module global ``_kernel``, and ``_refactor`` reinverts the
-basis between its calls.  Phase 1 starts from the slack/artificial
+A ``LinearProgram`` is held as arrays from its builder to the solver:
+the objective c, the m x n matrix A, the right-hand sides b, each
+row's relation coded as its slack coefficient, and a mask of the free
+variables.  With one BLAS setting the same input always follows the
+same pivot path (the BLAS thread count changes the rounding of its
+products, and so the path can change with it).  The solver carries the
+dense inverse of the basis, (m+1) x (m+1) whatever the number of
+columns: ``_run_phase`` drives the pivot loop of leakgames._kernel_py
+(Devex pricing), reached through the module global ``_kernel``, and
+``_refactor`` reinverts the basis between its calls.  Phase 1 starts from the slack/artificial
 basis after a triangular crash (``_crash``) puts free and structural
 columns in on rows whose right-hand side is 0; when no artificial is
 left in it, phase 1 is skipped.  Variables are nonnegative or free (a
@@ -19,7 +22,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -39,40 +41,60 @@ TABOO = 1e100
 
 LESS, EQUAL, GREATER = "<=", "=", ">="
 
-_SLACK_SIGN = {LESS: 1.0, GREATER: -1.0, EQUAL: 0.0}
+_RELATIONS = np.array([LESS, EQUAL, GREATER])     # slack coefficients +1, 0, -1
 
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min/max of c.x subject to rows (coefficients, relation, bound);
-    ``free[j]`` marks variable j as free, all others are >= 0."""
+    """min/max of c.x subject to A x (relation) b, row by row.  ``slack``
+    codes each row's relation as the coefficient of its slack: +1 for
+    <=, -1 for >=, 0 for =.  ``free`` masks the free variables; all
+    others are >= 0."""
 
     c: np.ndarray
-    rows: tuple
-    sense: str = "min"
-    free: np.ndarray | None = None
+    A: np.ndarray
+    b: np.ndarray
+    slack: np.ndarray
+    sense: str
+    free: np.ndarray
 
     @staticmethod
-    def build(c, rows: Sequence[tuple], sense: str = "min", free=None) -> "LinearProgram":
-        c = np.asarray(c, dtype=float)
+    def build(c, A, relations, b, sense: str = "min", free=()) -> "LinearProgram":
+        """Check the arrays and code the relations: ``A`` is m x len(c),
+        ``relations`` and ``b`` hold one entry per row, ``free`` the
+        indices of the free variables.  Every number must be finite."""
+        c, A, b = (np.asarray(v, dtype=float) for v in (c, A, b))
+        relations = np.asarray(relations, dtype=str)
         n = c.shape[0]
-        norm_rows = []
-        for coeffs, rel, rhs in rows:
-            coeffs = np.asarray(coeffs, dtype=float)
-            if coeffs.shape != (n,):
-                raise ValueError("constraint dimension does not match objective")
-            if rel not in (LESS, EQUAL, GREATER):
-                raise ValueError(f"unknown relation {rel!r}")
-            norm_rows.append((coeffs, rel, float(rhs)))
+        if c.ndim != 1 or A.ndim != 2 or A.shape[1] != n:
+            raise ValueError("constraint dimension does not match objective")
+        if b.shape != (A.shape[0],) or relations.shape != b.shape:
+            raise ValueError("A, b and the relations disagree on the number of rows")
+        known = relations[:, None] == _RELATIONS
+        if not known.any(axis=1).all():
+            raise ValueError(f"unknown relation {relations[~known.any(axis=1)][0].item()!r}")
         if sense not in ("min", "max"):
             raise ValueError(f"unknown sense {sense!r}")
-        free_mask = np.zeros(n, dtype=bool)
-        free_mask[list(() if free is None else free)] = True
-        return LinearProgram(c=c, rows=tuple(norm_rows), sense=sense, free=free_mask)
+        if not (np.isfinite(c).all() and np.isfinite(A).all() and np.isfinite(b).all()):
+            raise ValueError("objective and constraints must be finite")
+        free = np.asarray(free)
+        if free.size and (free.dtype.kind not in "iu" or free.min() < 0 or free.max() >= n):
+            raise ValueError(f"free must list variable indices in [0, {n})")
+        return LinearProgram(c=c, A=A, b=b, slack=1.0 - known.argmax(axis=1), sense=sense,
+                             free=np.bincount(free.astype(np.intp), minlength=n) > 0)
 
     @property
     def n_vars(self) -> int:
         return self.c.shape[0]
+
+    @property
+    def relations(self) -> np.ndarray:
+        return _RELATIONS[(1.0 - self.slack).astype(np.int64)]
+
+    @property
+    def rows(self) -> tuple:
+        """(coefficients, relation, bound) per row, derived from the arrays."""
+        return tuple(zip(self.A, self.relations.tolist(), self.b.tolist()))
 
 
 @dataclass
@@ -174,31 +196,20 @@ def _run_phase(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray,
             good = basis.copy(), b
 
 
-def _row_arrays(lp: LinearProgram):
-    """The rows of ``lp`` as arrays: coefficients (m x n), right-hand
-    sides, and each relation coded as the coefficient of its slack
-    (+1 for <=, -1 for >=, 0 for =)."""
-    m = len(lp.rows)
-    A = np.array([coeffs for coeffs, _, _ in lp.rows], dtype=float).reshape(m, lp.n_vars)
-    b = np.array([rhs for _, _, rhs in lp.rows], dtype=float)
-    slack = np.array([_SLACK_SIGN[rel] for _, rel, _ in lp.rows], dtype=float)
-    return A, b, slack
-
-
-def _standard_form(A: np.ndarray, b: np.ndarray, slack: np.ndarray, free: np.ndarray):
-    """Scale each row to unit infinity-norm, negate those with a negative
-    right-hand side (flipping their slack sign), and expand the columns:
-    the variables, the negative halves of the free ones, then one slack
-    per inequality row.  Returns (A_std, b_std, slack_std, flips,
+def _standard_form(lp: LinearProgram):
+    """Scale each row of ``lp`` to unit infinity-norm, negate those with
+    a negative right-hand side (flipping their slack sign), and expand
+    the columns: the variables, the negative halves of the free ones,
+    then one slack per inequality row.  Returns (A_std, b_std, slack_std, flips,
     col_index, col_sign): main column k is col_sign[k] times original
     column col_index[k]; flips maps row duals back to the original rows.
     """
-    n = A.shape[1]
+    A, b, free, n = lp.A, lp.b, lp.free, lp.n_vars
     scale = np.abs(A).max(axis=1, initial=0.0)
     scale[scale <= 0.0] = 1.0
     flip = np.where(b < 0, -1.0, 1.0)
     b_std = np.abs(b) / scale
-    slack_std = slack * flip
+    slack_std = lp.slack * flip
 
     col_index = np.concatenate([np.arange(n), np.flatnonzero(free)])
     col_sign = np.concatenate([np.ones(n), np.full(int(free.sum()), -1.0)])
@@ -251,11 +262,7 @@ def lp_solve(lp: LinearProgram) -> LPSolution:
     n = lp.n_vars
     minimize = lp.sense == "min"
     c0 = lp.c if minimize else -lp.c
-    free = lp.free if lp.free is not None else np.zeros(n, dtype=bool)
-
-    A_user, b_user, slack_user = _row_arrays(lp)
-    A_std, b_std, slack_std, flips_arr, col_index, col_sign = _standard_form(
-        A_user, b_user, slack_user, free)
+    A_std, b_std, slack_std, flips_arr, col_index, col_sign = _standard_form(lp)
     (m, n_std), n_main = A_std.shape, col_index.shape[0]
 
     need_artificial = np.flatnonzero(slack_std != 1.0)
@@ -269,7 +276,7 @@ def lp_solve(lp: LinearProgram) -> LPSolution:
     log.debug("lp_solve: %d rows, %d std cols, %d artificials", m, n_std, n_art)
 
     keep_rows = np.arange(m)
-    _crash(A_std, b_std, np.flatnonzero(free), basis)
+    _crash(A_std, b_std, np.flatnonzero(lp.free), basis)
     if (basis >= n_std).any():
         # phase 1: minimise the sum of artificials
         A1 = np.hstack([A_std, np.zeros((m, n_art))])
@@ -316,17 +323,17 @@ def lp_solve(lp: LinearProgram) -> LPSolution:
     x = x_std[:n].copy()
     x[col_index[n:]] -= x_std[n:n_main]
 
-    y_full = np.zeros(len(lp.rows))
+    y_full = np.zeros(lp.b.shape[0])
     y_full[keep_rows] = y_std
     duals0 = flips_arr * y_full
 
     primal0 = float(c0 @ x)
-    gap = abs(primal0 - float(duals0 @ b_user))
+    gap = abs(primal0 - float(duals0 @ lp.b))
 
-    excess = A_user @ x - b_user
-    violation = np.where(slack_user == 0.0, np.abs(excess), slack_user * excess)
+    excess = lp.A @ x - lp.b
+    violation = np.where(lp.slack == 0.0, np.abs(excess), lp.slack * excess)
     residual = max(0.0, float(violation.max(initial=0.0)),
-                   float(-(x[~free]).min(initial=0.0)))
+                   float(-(x[~lp.free]).min(initial=0.0)))
 
     objective = primal0 if minimize else -primal0
     duals = duals0 if minimize else -duals0
@@ -334,7 +341,7 @@ def lp_solve(lp: LinearProgram) -> LPSolution:
               objective, gap, iterations)
     return LPSolution(status="optimal", x=x, duals=duals, objective=objective, gap=gap,
                       max_residual=residual, iterations=iterations,
-                      diagnostics={"rows": len(lp.rows), "cols": n})
+                      diagnostics={"rows": lp.b.shape[0], "cols": n})
 
 
 def require_optimal(solution: LPSolution, what: str = "linear program") -> LPSolution:

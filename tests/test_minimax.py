@@ -258,37 +258,36 @@ def _reference_matrix_game_lp(u):
     n_d, n_a = u.shape
     c = np.zeros(n_d + 1)
     c[-1] = 1.0
-    rows = []
+    A = np.zeros((n_a + 1, n_d + 1))
     for a in range(n_a):
-        row = np.zeros(n_d + 1)
-        row[:n_d] = u[:, a]
-        row[-1] = -1.0
-        rows.append((row, LESS, 0.0))
-    srow = np.zeros(n_d + 1)
-    srow[:n_d] = 1.0
-    rows.append((srow, EQUAL, 1.0))
-    return LinearProgram.build(c, rows, sense="min", free=[n_d])
+        A[a, :n_d] = u[:, a]
+        A[a, -1] = -1.0
+    A[n_a, :n_d] = 1.0
+    b = np.zeros(n_a + 1)
+    b[n_a] = 1.0
+    return LinearProgram.build(c, A, [LESS] * n_a + [EQUAL], b, sense="min", free=[n_d])
 
 
 def _reference_matrix_game_dual_lp(u):
-    """Its column-player LP: variables (alpha, w), max w."""
+    """Its column-player LP: variables (alpha, w), max w, with the
+    simplex row first."""
     n_d, n_a = u.shape
     c = np.zeros(n_a + 1)
     c[-1] = 1.0
-    rows = []
+    A = np.zeros((n_d + 1, n_a + 1))
+    A[0, :n_a] = 1.0
     for d in range(n_d):
-        row = np.zeros(n_a + 1)
-        row[:n_a] = -u[d, :]
-        row[-1] = 1.0
-        rows.append((row, LESS, 0.0))
-    srow = np.zeros(n_a + 1)
-    srow[:n_a] = 1.0
-    rows.append((srow, EQUAL, 1.0))
-    return LinearProgram.build(c, rows, sense="max", free=[n_a])
+        A[1 + d, :n_a] = -u[d, :]
+        A[1 + d, -1] = 1.0
+    b = np.zeros(n_d + 1)
+    b[0] = 1.0
+    return LinearProgram.build(c, A, [EQUAL] + [LESS] * n_d, b, sense="max", free=[n_a])
 
 
-def _row_keys(lp):
-    return [(rel, rhs, tuple(coeffs)) for coeffs, rel, rhs in lp.rows]
+def _assert_same_lp(lp, ref):
+    assert lp.sense == ref.sense
+    for name in ("c", "A", "b", "slack", "free"):
+        assert np.array_equal(getattr(lp, name), getattr(ref, name)), name
 
 
 def test_one_piece_convex_game_lps_are_the_matrix_game_lps():
@@ -299,17 +298,11 @@ def test_one_piece_convex_game_lps_are_the_matrix_game_lps():
         pieces = [u[:, a].reshape(1, 1, -1) for a in range(u.shape[1])]
         ref = _reference_matrix_game_lp(u)
         for lp in (convex_game_lp(pieces)[0], matrix_game_lp(u)):
-            assert lp.sense == ref.sense
-            assert np.array_equal(lp.c, ref.c)
-            assert np.array_equal(lp.free, ref.free)
-            assert _row_keys(lp) == _row_keys(ref)
+            _assert_same_lp(lp, ref)
         assert convex_game_lp(pieces)[1:] == (u.shape[0], list(range(u.shape[1])))
         dual, n_a = convex_game_attacker_lp(pieces)
-        ref = _reference_matrix_game_dual_lp(u)
-        assert n_a == u.shape[1] and dual.sense == ref.sense
-        assert np.array_equal(dual.c, ref.c)
-        assert np.array_equal(dual.free, ref.free)
-        assert sorted(_row_keys(dual)) == sorted(_row_keys(ref))
+        assert n_a == u.shape[1]
+        _assert_same_lp(dual, _reference_matrix_game_dual_lp(u))
 
 
 GAIN_VALUES = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 2.0])

@@ -13,12 +13,15 @@ from leakgames.errors import SolverError
 from leakgames.games import hidden_branch_pieces
 from leakgames.minimax import convex_game_attacker_lp, convex_game_lp, prune_pieces
 from leakgames.pwdcheck import build_game, bundled_prior, secret_labels
-from leakgames.simplex import LinearProgram, _row_arrays, _standard_form, lp_solve
+from leakgames.simplex import LinearProgram, _standard_form, lp_solve
 from leakgames.vuln import Prior
 
 
-def lp(c, rows, sense="min", free=None):
-    return LinearProgram.build(c, rows, sense=sense, free=free)
+def lp(c, rows, sense="min", free=()):
+    """A small LP written as (coefficients, relation, bound) rows."""
+    A = np.array([coeffs for coeffs, _, _ in rows], dtype=float).reshape(len(rows), len(c))
+    return LinearProgram.build(c, A, [rel for _, rel, _ in rows], [rhs for _, _, rhs in rows],
+                               sense=sense, free=free)
 
 
 def test_single_bound():
@@ -155,7 +158,7 @@ def test_standard_form_matches_entrywise_reference():
                 for _ in range(m)]
         free = [j for j in range(n) if rng.uniform() < 0.3]
         program = lp(rng.normal(size=n), rows, sense=["min", "max"][trial % 2], free=free)
-        A_std, b_std, _, flips, _, _ = _standard_form(*_row_arrays(program), program.free)
+        A_std, b_std, _, flips, _, _ = _standard_form(program)
         ref_A, ref_b, ref_flips = _loop_standard_form(program)
         assert np.array_equal(A_std, ref_A)
         assert np.array_equal(b_std, ref_b)
@@ -177,6 +180,38 @@ def test_deterministic_repeat():
     assert a.objective == b.objective
 
 
+@pytest.mark.parametrize("c, A, b, free", [
+    ([1.0, 2.0], [[1.0, np.nan]], [1.0], ()),
+    ([1.0, np.nan], [[1.0, 1.0]], [1.0], ()),
+    ([1.0, 2.0], [[1.0, 1.0]], [np.nan], ()),
+    ([np.inf, 2.0], [[1.0, 1.0]], [1.0], ()),
+    ([1.0, 2.0], [[1.0, -np.inf]], [1.0], ()),
+    ([1.0, 2.0], [[1.0, 1.0]], [np.inf], ()),
+    ([1.0, 2.0], [[1.0, 1.0]], [1.0], [2]),
+    ([1.0, 2.0], [[1.0, 1.0]], [1.0], [-1]),
+    ([1.0, 2.0], [[1.0, 1.0]], [1.0], [0.5]),
+    ([1.0, 2.0], [[1.0, 1.0]], [1.0], [False, True]),
+])
+def test_build_rejects_non_finite_numbers_and_stray_free_indices(c, A, b, free):
+    # NaN fails every comparison in the simplex unnoticed: it would call
+    # max x1 + 2 x2  s.t.  x1 + NaN x2 <= 1 optimal at x = 0
+    with pytest.raises(ValueError,
+                       match=r"must be finite|free must list variable indices in \[0, 2\)"):
+        LinearProgram.build(c, A, ["<="], b, sense="max", free=free)
+
+
+@pytest.mark.parametrize("c, A, relations, b, sense, match", [
+    ([1.0, 2.0], [[1.0, 1.0, 1.0]], ["<="], [1.0], "min", "dimension does not match"),
+    ([1.0, 2.0], [1.0, 1.0], ["<="], [1.0], "min", "dimension does not match"),
+    ([1.0, 2.0], [[1.0, 1.0]], ["<="], [1.0, 2.0], "min", "number of rows"),
+    ([1.0, 2.0], [[1.0, 1.0]], ["<=", "="], [1.0], "min", "number of rows"),
+    ([1.0, 2.0], [[1.0, 1.0], [0.0, 1.0]], ["<=", "=<"], [1.0, 2.0], "min",
+     "unknown relation '=<'"),
+    ([1.0, 2.0], [[1.0, 1.0]], ["<="], [1.0], "minimize", "unknown sense 'minimize'"),
+])
+def test_build_rejects_malformed_programs(c, A, relations, b, sense, match):
+    with pytest.raises(ValueError, match=match):
+        LinearProgram.build(c, A, relations, b, sense=sense)
 
 
 def test_singular_basis_raises_solver_error():
@@ -272,9 +307,7 @@ def _tableau_run_phase(A, b, c, basis, max_iter):
 
 def _tableau_lp_solve(program):
     """Status and objective of ``program`` by the dense-tableau simplex."""
-    A_user, b_user, slack_user = _row_arrays(program)
-    A, b, slack, _, col_index, col_sign = _standard_form(A_user, b_user, slack_user,
-                                                         program.free)
+    A, b, slack, _, col_index, col_sign = _standard_form(program)
     m, n_std = A.shape
     n_main = col_index.shape[0]
     art = np.flatnonzero(slack != 1.0)
@@ -319,7 +352,7 @@ def _highs(program):
     """Status and objective of ``program`` by scipy's HiGHS."""
     from scipy.optimize import linprog
 
-    A, b, slack = _row_arrays(program)
+    A, b, slack = program.A, program.b, program.slack
     sign = 1.0 if program.sense == "min" else -1.0
     ub = slack != 0.0
     a_ub, b_ub = A[ub] * slack[ub, None], b[ub] * slack[ub]
@@ -348,10 +381,9 @@ def _assert_matches_references(program):
         assert got.objective == pytest.approx(objective, **close)
         assert got.gap <= 1e-9 and got.max_residual <= 1e-9
         # duals as the lp_solve docstring states them
-        _, _, slack = _row_arrays(program)
-        signed = got.duals * slack * (1.0 if program.sense == "min" else -1.0)
+        signed = got.duals * program.slack * (1.0 if program.sense == "min" else -1.0)
         assert signed.max(initial=0.0) <= 1e-9
-        assert float(got.duals @ _row_arrays(program)[1]) == pytest.approx(got.objective, **close)
+        assert float(got.duals @ program.b) == pytest.approx(got.objective, **close)
     try:
         ref_status, ref_objective = _tableau_lp_solve(program)
     except (SolverError, np.linalg.LinAlgError):
@@ -514,7 +546,7 @@ def test_checker_lps_match_references():
 def _crashed_start(program):
     """The phase-1 matrix of ``program``'s standard form (artificial
     columns last), its b, and the basis before and after ``_crash``."""
-    A, b, slack, _, col_index, _ = _standard_form(*_row_arrays(program), program.free)
+    A, b, slack, _, col_index, _ = _standard_form(program)
     (m, n_std), n_main = A.shape, col_index.shape[0]
     art = np.flatnonzero(slack != 1.0)
     start = np.empty(m, dtype=np.int64)
