@@ -114,26 +114,33 @@ def _postprocessing_fit(target: Channel, base: Channel) -> float:
     with t = 0 exactly when target leaks no more than base.  ``base``
     must list the secrets in target's order.  Returns the largest entry
     error of the best R found.  HiGHS's tolerances are 1e-10, so its R
-    may miss the optimum by about as much; one refinement step fits the
-    error left, magnified to 1e-3, by a correction whose rows sum to 0
-    (skipped where HiGHS reports no optimum for it).  Each R is clipped
-    at 0 and its rows renormalised, so each error bounds the optimum
-    from above, and the smaller one is returned.
+    may miss the optimum by about as much.  Each R is clipped at 0 and
+    its rows renormalised, so its error bounds the optimum from above.
+    One refinement step then fits the error left by the renormalised R,
+    magnified to 1e-3, by a correction whose rows sum to 0 (skipped
+    where HiGHS reports no optimum for it), and the smaller error is
+    returned.  Refining the renormalised R matters: HiGHS's row sums
+    are off 1 by up to 1e-10, and a correction that keeps them would
+    leave that much for the final renormalisation to spread over T.
     """
     B, T = base.data, target.data
 
-    def error(R):
+    def normalised(R):
         R = np.clip(R, 0.0, None)
-        return float(np.abs(B @ (R / R.sum(axis=1, keepdims=True)) - T).max())
+        return R / R.sum(axis=1, keepdims=True)
+
+    def error(R):
+        return float(np.abs(B @ R - T).max())
 
     R = _highs_fit(T, B, np.zeros((B.shape[1], T.shape[1])), 1.0)
     assert R is not None, "HiGHS found no optimal fit"
+    R = normalised(R)
     first = error(R)
     if first < 1e-15:                   # rounding: nothing left to refine
         return first
     scale = 1e-3 / first
     D = _highs_fit(scale * (T - B @ R), B, -scale * R, 0.0)
-    return first if D is None else min(first, error(R + D / scale))
+    return first if D is None else min(first, error(normalised(R + D / scale)))
 
 
 def random_game(rng) -> LeakageGame:
