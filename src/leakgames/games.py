@@ -118,6 +118,8 @@ class LeakageGame:
     def _fill(self, defenders, attackers, observables, tensor, declared, prior, measure):
         for role, labels in (("defender", defenders), ("attacker", attackers),
                              ("observable", observables)):
+            if not labels:
+                raise ValueError(f"a leakage game needs at least one {role}")
             if any(label_key(x) >= label_key(y) for x, y in zip(labels, labels[1:])):
                 raise DuplicateIndex(f"{role} labels {list(labels)} repeat or are out of order")
         if measure.is_custom:
@@ -160,8 +162,7 @@ def _vulnerabilities(game: LeakageGame, channels: np.ndarray) -> np.ndarray:
     """Posterior vulnerability sum_y max_w sum_x pi(x) C(x, y) g(w, x) of
     every channel C in a stack ``channels[..., x, y]``."""
     joint = game.prior.weights[:, None] * channels
-    scores = joint if game.measure.is_bayes else game.gain @ joint
-    return scores.max(axis=-2).sum(axis=-1)
+    return (game.gain @ joint).max(axis=-2).sum(axis=-1)
 
 
 def payoff_matrix(game: LeakageGame) -> LabeledMatrix:

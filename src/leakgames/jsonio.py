@@ -8,10 +8,15 @@ Game channel keys are "defender|attacker", split at the one unescaped
 
 Writing is deterministic: keys sorted, floats via repr, so identical
 objects produce byte-identical files.
+
+Reading has one rule for malformed input: a KeyError, TypeError,
+ValueError or AttributeError raised while a ``*_from_json`` reader
+takes its object apart becomes ``FormatError("bad <kind> JSON: ...")``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
@@ -27,6 +32,20 @@ class FormatError(LeakGamesError):
     """A file does not match the expected JSON shape."""
 
 
+def _reader(kind: str):
+    """Re-raise the decorated reader's malformed-input errors as a
+    FormatError that names ``kind``."""
+    def decorate(read):
+        @functools.wraps(read)
+        def checked(*args, **kwargs):
+            try:
+                return read(*args, **kwargs)
+            except (KeyError, TypeError, ValueError, AttributeError) as exc:
+                raise FormatError(f"bad {kind} JSON: {exc}") from exc
+        return checked
+    return decorate
+
+
 def matrix_to_json(m: LabeledMatrix) -> dict:
     return {
         "rows": [format_label(r) for r in m.rows],
@@ -35,13 +54,11 @@ def matrix_to_json(m: LabeledMatrix) -> dict:
     }
 
 
+@_reader("matrix")
 def matrix_from_json(obj: dict) -> LabeledMatrix:
-    try:
-        rows = [parse_label(r) for r in obj["rows"]]
-        cols = [parse_label(c) for c in obj["cols"]]
-        return LabeledMatrix(rows, cols, obj["data"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad matrix JSON: {exc}") from exc
+    rows = [parse_label(r) for r in obj["rows"]]
+    cols = [parse_label(c) for c in obj["cols"]]
+    return LabeledMatrix(rows, cols, obj["data"])
 
 
 def channel_to_json(c: Channel) -> dict:
@@ -50,12 +67,9 @@ def channel_to_json(c: Channel) -> dict:
     return obj
 
 
+@_reader("channel")
 def channel_from_json(obj: dict) -> Channel:
-    m = matrix_from_json(obj)
-    try:
-        return Channel(m)
-    except ValueError as exc:
-        raise FormatError(f"bad channel JSON: {exc}") from exc
+    return Channel(matrix_from_json(obj))
 
 
 def prior_to_json(p: Prior) -> dict:
@@ -63,18 +77,14 @@ def prior_to_json(p: Prior) -> dict:
                         for x, w in zip(p.labels, p.weights)}}
 
 
+@_reader("prior")
 def prior_from_json(obj: dict) -> Prior:
-    try:
-        return Prior({parse_label(k): v for k, v in obj["weights"].items()})
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise FormatError(f"bad prior JSON: {exc}") from exc
+    return Prior({parse_label(k): v for k, v in obj["weights"].items()})
 
 
+@_reader("distribution")
 def dist_from_json(obj: dict) -> IndexDistribution:
-    try:
-        return IndexDistribution({parse_label(k): v for k, v in obj["weights"].items()})
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise FormatError(f"bad distribution JSON: {exc}") from exc
+    return IndexDistribution({parse_label(k): v for k, v in obj["weights"].items()})
 
 
 def gain_to_json(g: GainFunction) -> dict:
@@ -85,18 +95,16 @@ def gain_to_json(g: GainFunction) -> dict:
     }
 
 
+@_reader("gain")
 def gain_from_json(obj: dict, secrets=None) -> GainFunction:
-    try:
-        guesses = [parse_label(w) for w in obj["guesses"]]
-        if "secrets" in obj:
-            secs = [parse_label(x) for x in obj["secrets"]]
-        elif secrets is not None:
-            secs = list(secrets)
-        else:
-            raise FormatError("gain JSON lacks 'secrets' and no context is available")
-        return GainFunction.build(guesses, secs, obj["gain"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad gain JSON: {exc}") from exc
+    guesses = [parse_label(w) for w in obj["guesses"]]
+    if "secrets" in obj:
+        secs = [parse_label(x) for x in obj["secrets"]]
+    elif secrets is not None:
+        secs = list(secrets)
+    else:
+        raise FormatError("gain JSON lacks 'secrets' and no context is available")
+    return GainFunction.build(guesses, secs, obj["gain"])
 
 
 def measure_to_json(m: VulnMeasure) -> dict:
@@ -105,6 +113,7 @@ def measure_to_json(m: VulnMeasure) -> dict:
     return {"variant": "gain", **gain_to_json(m.gain_fn)}
 
 
+@_reader("measure")
 def measure_from_json(obj: dict, secrets=None) -> VulnMeasure:
     variant = obj.get("variant")
     if variant == "bayes":
@@ -127,22 +136,20 @@ def game_to_json(g: LeakageGame) -> dict:
     }
 
 
+@_reader("game")
 def game_from_json(obj: dict) -> LeakageGame:
-    try:
-        defenders = [parse_label(d) for d in obj["defender"]]
-        attackers = [parse_label(a) for a in obj["attacker"]]
-        prior = prior_from_json(obj["prior"])
-        measure = measure_from_json(obj["measure"], secrets=prior.labels)
-        channels = {}
-        for key, cobj in obj["channels"].items():
-            try:
-                profile = parse_label_pair(key)
-            except ValueError:
-                raise FormatError(f"channel key {key!r} is not 'defender|attacker'") from None
-            channels[profile] = channel_from_json(cobj)
-        return LeakageGame(defenders, attackers, channels, prior, measure)
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"bad game JSON: {exc}") from exc
+    defenders = [parse_label(d) for d in obj["defender"]]
+    attackers = [parse_label(a) for a in obj["attacker"]]
+    prior = prior_from_json(obj["prior"])
+    measure = measure_from_json(obj["measure"], secrets=prior.labels)
+    channels = {}
+    for key, cobj in obj["channels"].items():
+        try:
+            profile = parse_label_pair(key)
+        except ValueError:
+            raise FormatError(f"channel key {key!r} is not 'defender|attacker'") from None
+        channels[profile] = channel_from_json(cobj)
+    return LeakageGame(defenders, attackers, channels, prior, measure)
 
 
 def dump(obj: dict, path) -> None:

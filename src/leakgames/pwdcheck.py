@@ -35,6 +35,8 @@ MAX_BITS_DEFAULT = 5
 
 
 def secret_labels(n: int):
+    if n < 1:
+        raise ValueError("n must be >= 1")
     return tuple("".join(bits) for bits in itertools.product("01", repeat=n))
 
 
@@ -57,6 +59,19 @@ def _parse_order(order: str, n: int):
     if sorted(positions) != list(range(1, n + 1)):
         raise BadPermutation(f"order {order!r} is not a permutation of 1..{n}")
     return positions
+
+
+def _observed_column(n: int, diff, order):
+    """Observable column of the early-exit checker, elementwise: k - 1
+    for F@k when the k-th checked bit is the first where secret and low
+    input differ, n for T@n.  ``diff`` holds secret XOR low input as
+    n-bit integers and ``order[k - 1]`` the k-th checked bit position
+    (1-based, from the left); the two broadcast against each other."""
+    column = n
+    for k in reversed(range(n)):
+        # bit p of an n-bit string s is s >> (n - p) & 1
+        column = np.where(diff >> (n - order[k]) & 1, k, column)
+    return column
 
 
 def first_mismatch(x: str, a: str, order) -> int:
@@ -106,14 +121,11 @@ def build_game(n: int, prior: Prior, measure: VulnMeasure | None = None,
     measure = measure or VulnMeasure.bayes()
     orders = order_labels(n)
     lows = secret_labels(n)
-    # bit p (1-based, from the left) of an n-bit string s is s >> (n - p) & 1
-    shifts = n - np.array([_parse_order(d, n) for d in orders])        # [d, k]
+    positions = np.array([_parse_order(d, n) for d in orders]).T        # [k, d]
     values = np.arange(2 ** n)
     diff = values[:, None] ^ values[None, :]                            # [a, x]
-    mismatch = diff[:, :, None, None] >> shifts[None, None] & 1        # [a, x, d, k]
-    # observable column: k - 1 for F@k at the first mismatch k, n for T@n
-    column = np.where(mismatch.any(axis=3), mismatch.argmax(axis=3), n)
-    blocks = np.eye(n + 1)[column.transpose(2, 0, 1)]                   # [d, a, x, y]
+    # one-hot observable of every order, low input and secret: [d, a, x, y]
+    blocks = np.eye(n + 1)[_observed_column(n, diff, positions[:, :, None, None])]
     return LeakageGame.from_tensor(orders, lows, lows, observable_labels(n), blocks,
                                    prior, measure)
 
@@ -136,24 +148,17 @@ def expected_iterations_series(n: int) -> float:
 def measured_iterations(n: int, samples: int, seed: int = 0,
                         low_input: str | None = None) -> float:
     """Mean iteration count over uniformly random secrets against a
-    fixed low input."""
+    fixed low input, checked in bit order 1..n."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     a = int(low_input, 2) if low_input is not None else 0
     xs = rng.integers(0, 2 ** n, size=samples)
-    diff = xs ^ a
-    iters = np.empty(samples)
-    for k in range(1, n + 1):
-        bit = diff >> (n - k) & 1
-        if k == 1:
-            iters[:] = np.where(bit == 1, 1, n)
-            seen = bit == 1
-        else:
-            hit = (bit == 1) & ~seen
-            iters[hit] = k
-            seen |= hit
-    return float(iters.mean())
+    # F@k takes k iterations and T@n takes n
+    column = _observed_column(n, xs ^ a, range(1, n + 1))
+    return float(np.minimum(column + 1, n).mean())
 
 
 @dataclass

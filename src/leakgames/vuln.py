@@ -2,8 +2,9 @@
 
 Vulnerability is the adversary's maximum expected gain.  A gain
 function assigns g(w, x) to guessing w when the secret is x; Bayes
-vulnerability is the special case where guesses are the secrets
-themselves and the gain is 1 exactly on a correct guess.
+vulnerability is g-vulnerability under the identity gain, where the
+guesses are the secrets themselves and the gain is 1 exactly on a
+correct guess.  Both go through one gain-matrix product.
 
 Posterior vulnerability is computed column-wise on the joint matrix,
 
@@ -102,9 +103,9 @@ class GainFunction:
 class VulnMeasure:
     """Bayes vulnerability, a gain-based one, or a custom convex evaluator.
 
-    Bayes over a secret set equals the gain-based measure with the
-    identity gain; both code paths agree to 1e-12 and the Bayes variant
-    simply skips materialising the identity matrix.
+    Bayes over a secret set is the gain-based measure with the identity
+    gain, and every vulnerability is computed through that matrix; the
+    variant records which of the two a file names.
 
     The custom variant carries an arbitrary convex function of the
     posterior distribution (in sorted secret-label order).  It serves
@@ -174,8 +175,6 @@ class VulnMeasure:
 def prior_vuln(measure: VulnMeasure, prior: Prior) -> float:
     """Adversarial value of the secret before any observation."""
     measure.check_secrets(prior.labels)
-    if measure.is_bayes:
-        return float(prior.weights.max())
     if measure.is_custom:
         return float(measure.evaluator(prior.weights))
     scores = measure.gain_matrix(prior.labels) @ prior.weights
@@ -187,8 +186,6 @@ def posterior_vuln(measure: VulnMeasure, prior: Prior, channel: Channel) -> floa
     measure.check_secrets(channel.secrets)
     pi = prior.aligned(channel.secrets)
     joint = pi[:, None] * channel.data
-    if measure.is_bayes:
-        return float(joint.max(axis=0).sum())
     if measure.is_custom:
         order = sorted(range(len(channel.secrets)),
                        key=lambda i: label_key(channel.secrets[i]))

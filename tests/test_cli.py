@@ -1,4 +1,9 @@
+import dataclasses
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -186,10 +191,21 @@ def demo_file(tmp_path):
 
 def test_game_solve_kinds(capsys, demo_file):
     for kind, value in [("I", 4 / 5), ("II", 1.0), ("III", 2 / 3),
-                        ("IV", 5 / 7), ("V", 5 / 7), ("VI-behavioral", 0.5)]:
+                        ("IV", 5 / 7), ("V", 5 / 7), ("VI-mixed", 0.5),
+                        ("VI-behavioral", 0.5)]:
         code, out, _ = run(capsys, "game", "solve", "--kind", kind, demo_file)
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(value, abs=1e-8)
+
+
+def test_game_solve_vi_mixed_writes_the_c01_witness(capsys, demo_file):
+    # function tuples become "a0-value|a1-value" keys, function_order a list
+    code, out, _ = run(capsys, "game", "solve", "--kind", "VI-mixed", demo_file)
+    assert code == 0
+    report = json.loads(out)
+    assert report["value"] == pytest.approx(0.5, abs=1e-9)
+    assert report["defender"]["dist"] == pytest.approx({"0|0": 0.25, "0|1": 0.75}, abs=1e-9)
+    assert report["defender"]["function_order"] == ["0", "1"]
 
 
 def test_game_solve_v_notes_alias(capsys, demo_file):
@@ -236,6 +252,83 @@ def test_game_audit(capsys, demo_file):
     assert report["values"]["II"] == pytest.approx(1.0)
     assert report["values"]["III"] == pytest.approx(2 / 3)
     assert report["values"]["IV"] == pytest.approx(5 / 7)
+
+
+def test_game_audit_exits_3_on_a_violated_ordering(capsys, monkeypatch, demo_file):
+    import leakgames.games as games
+
+    solve = games.solve
+    # II drops below I, so "II>=I" fails
+    monkeypatch.setattr(games, "solve", lambda game, kind: dataclasses.replace(
+        solve(game, kind), value=0.0) if kind == "II" else solve(game, kind))
+    code, out, _ = run(capsys, "game", "audit", demo_file)
+    assert code == 3
+    report = json.loads(out)
+    assert report["violations"] == ["II = 0 < I = 0.8"]
+    assert {"check": "II>=I", "holds": False} in report["orderings"]
+
+
+def _one_error_line(code, out, err):
+    return (code == 1 and out == "" and "Traceback" not in err
+            and len(err.splitlines()) == 1 and err.startswith("error: "))
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"channels": []}, "bad game JSON"),
+    ({"channels": "0|0"}, "bad game JSON"),
+    ({"measure": []}, "bad measure JSON"),
+    ({"prior": {"weights": []}}, "bad prior JSON"),
+    ({"defender": [], "channels": {}}, "at least one defender"),
+    ({"attacker": [], "channels": {}}, "at least one attacker"),
+])
+def test_malformed_game_files_fail_cleanly(capsys, tmp_path, edit, message):
+    path = tmp_path / "game.json"
+    jsonio.dump({**jsonio.game_to_json(demo_game()), **edit}, path)
+    for argv in (["game", "solve", "--kind", "IV", str(path)],
+                 ["game", "solve", "--kind", "I", str(path)], ["game", "audit", str(path)]):
+        code, out, err = run(capsys, *argv)
+        assert _one_error_line(code, out, err) and message in err, err
+
+
+def test_vuln_rejects_a_measure_that_is_not_an_object(capsys, tmp_path, mix_files):
+    prior = tmp_path / "prior.json"
+    prior.write_text(json.dumps({"weights": {"x1": 0.5, "x2": 0.5}}))
+    measure = tmp_path / "measure.json"
+    measure.write_text("[]")
+    code, out, err = run(capsys, "vuln", "--prior", str(prior), "--channel", mix_files["c1"],
+                         "--measure", str(measure))
+    assert _one_error_line(code, out, err) and "bad measure JSON" in err, err
+
+
+@pytest.mark.parametrize("cmd", ["analyze", "gen", "timing"])
+@pytest.mark.parametrize("bits", ["0", "-1"])
+def test_pwd_needs_at_least_one_bit(capsys, tmp_path, cmd, bits):
+    out_path = tmp_path / "g.json"
+    argv = ["pwd", cmd, "--bits", bits] + (["--out", str(out_path)] if cmd == "gen" else [])
+    code, out, err = run(capsys, *argv)
+    assert _one_error_line(code, out, err) and "n must be >= 1" in err, err
+    assert not out_path.exists()
+
+
+def test_runtime_imports_neither_scipy_nor_hypothesis(tmp_path):
+    # the package depends on numpy alone; scipy and hypothesis serve tests only
+    game = tmp_path / "demo.json"
+    jsonio.dump(jsonio.game_to_json(demo_game()), game)
+    chan = tmp_path / "c.json"
+    jsonio.dump(jsonio.channel_to_json(demo_game().channel("1", "1")), chan)
+    script = f"""
+import contextlib, io, sys
+from leakgames.cli import main
+for argv in (["pwd", "analyze", "--bits", "3"], ["game", "audit", {str(game)!r}],
+             ["channel", "equiv", {str(chan)!r}, {str(chan)!r}]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print(sorted(m for m in ("scipy", "hypothesis") if m in sys.modules))
+"""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_pwd_gen_round_trip(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from collections import Counter
 
@@ -75,6 +76,14 @@ def test_game_rejects_repeated_and_unknown_actions():
         LeakageGame(("0", "1"), ("0", "0", "1"), chans, prior, bayes)
     with pytest.raises(UnknownAction):
         LeakageGame(("0", "1"), ("0", "1"), {**chans, ("7", "0"): flat}, prior, bayes)
+
+
+def test_game_needs_a_defender_and_an_attacker():
+    prior, bayes = Prior.uniform("xy"), VulnMeasure.bayes()
+    with pytest.raises(ValueError, match="at least one defender"):
+        LeakageGame((), ("a",), {}, prior, bayes)
+    with pytest.raises(ValueError, match="at least one attacker"):
+        LeakageGame(("d",), (), {}, prior, bayes)
 
 
 def test_tensor_games_check_every_profile_at_once():
@@ -277,6 +286,19 @@ def test_audit_demo(game2x2):
     assert v["I"] >= v["III"] - 1e-9
     assert v["III"] >= v["VI_mixed"] - 1e-9
     assert v["IV"] == pytest.approx(v["V"], abs=1e-12)
+
+
+def test_audit_reports_a_violated_ordering(monkeypatch, game2x2):
+    import leakgames.games as games
+
+    solve = games.solve
+    # II = 0.5 falls below I = 4/5; every other ordering still holds
+    monkeypatch.setattr(games, "solve", lambda game, kind: dataclasses.replace(
+        solve(game, kind), value=0.5) if kind == "II" else solve(game, kind))
+    report = audit_hierarchy(game2x2)
+    assert not report.ok
+    assert report.violations == ["II = 0.5 < I = 0.8"]
+    assert [name for name, _, _, holds in report.orderings if not holds] == ["II>=I"]
 
 
 def test_audit_identical_channels():

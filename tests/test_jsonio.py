@@ -123,6 +123,18 @@ def test_game_channel_key_must_be_a_pair():
         jsonio.game_from_json(obj)
 
 
+@pytest.mark.parametrize("reader, kind", [
+    (jsonio.matrix_from_json, "matrix"), (jsonio.channel_from_json, "matrix"),
+    (jsonio.prior_from_json, "prior"), (jsonio.dist_from_json, "distribution"),
+    (jsonio.gain_from_json, "gain"), (jsonio.measure_from_json, "measure"),
+    (jsonio.game_from_json, "game"),
+])
+@pytest.mark.parametrize("obj", [[], "x"])
+def test_every_reader_reports_malformed_input_as_a_format_error(reader, kind, obj):
+    with pytest.raises(jsonio.FormatError, match=f"^bad {kind} JSON: "):
+        reader(obj)
+
+
 def test_dump_is_deterministic(tmp_path):
     g = demo_game()
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

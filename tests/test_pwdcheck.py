@@ -108,6 +108,23 @@ def test_build_game_size_guard_precedes_any_allocation(monkeypatch):
         pwdcheck.build_game(6, prior)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_checker_needs_at_least_one_bit(monkeypatch, n):
+    import leakgames.pwdcheck as pwdcheck
+
+    class Untouchable:
+        def __getattr__(self, name):
+            raise AssertionError(f"np.{name} used before the bit-count check")
+
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        measured_iterations(n, 5)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        secret_labels(n)
+    monkeypatch.setattr(pwdcheck, "np", Untouchable())
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        pwdcheck.build_game(n, Prior.uniform(("0", "1")))
+
+
 def test_bad_order_rejected():
     with pytest.raises(BadPermutation):
         pwd_channel(3, "122", "101")

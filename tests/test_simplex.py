@@ -13,7 +13,7 @@ from leakgames.errors import SolverError
 from leakgames.games import hidden_branch_pieces
 from leakgames.minimax import convex_game_attacker_lp, convex_game_lp, prune_pieces
 from leakgames.pwdcheck import build_game, bundled_prior, secret_labels
-from leakgames.simplex import LinearProgram, _standard_form, lp_solve
+from leakgames.simplex import LinearProgram, _standard_form, lp_solve, require_optimal
 from leakgames.vuln import Prior
 
 
@@ -212,6 +212,18 @@ def test_build_rejects_non_finite_numbers_and_stray_free_indices(c, A, b, free):
 def test_build_rejects_malformed_programs(c, A, relations, b, sense, match):
     with pytest.raises(ValueError, match=match):
         LinearProgram.build(c, A, relations, b, sense=sense)
+
+
+def test_require_optimal_names_the_status():
+    bounded = lp([1.0], [([1.0], ">=", 1.0)])
+    sol = lp_solve(bounded)
+    assert require_optimal(sol) is sol
+    for program, status in [(lp([1.0], [([1.0], "<=", -1.0)]), "infeasible"),
+                            (lp([-1.0], [([1.0], ">=", 1.0)]), "unbounded")]:
+        sol = lp_solve(program)
+        assert sol.status == status
+        with pytest.raises(SolverError, match=f"^probe LP finished with status {status}$"):
+            require_optimal(sol, "probe LP")
 
 
 def test_singular_basis_raises_solver_error():
