@@ -1,7 +1,8 @@
 """Stochastic channels and their composition operators.
 
-A channel maps secrets (rows) to a distribution over observables
-(columns).  Two mixtures are provided:
+A channel is a labelled matrix whose rows are stochastic: it maps
+secrets (rows) to a distribution over observables (columns), and every
+matrix operator applies to it directly.  Two mixtures are provided:
 
 * hidden choice: the index of the mixed channel is not observable, so
   the result is the weighted entrywise sum.  Requires all members of
@@ -52,37 +53,24 @@ def stochastic(data, row_name) -> np.ndarray:
     return data
 
 
-class Channel:
+class Channel(LabeledMatrix):
     """A stochastic labelled matrix: entries in [0, 1], rows summing to 1.
 
     Construction validates within ``VALIDATION_TOL`` and then
     renormalises each row exactly, so file-sourced matrices that carry
-    rounding are accepted and cleaned up.  Immutable and thread-safe.
+    rounding are accepted and cleaned up.  The labels and index maps are
+    the given matrix's, checked when it was built.  Immutable and
+    thread-safe.
     """
 
-    __slots__ = ("matrix",)
+    __slots__ = ()
+    secrets, observables = LabeledMatrix.rows, LabeledMatrix.cols  # the paper's names
 
     def __init__(self, matrix: LabeledMatrix):
-        data = stochastic(matrix.data, lambda i: f"row {matrix.rows[i[0]]!r}")
-        self.matrix = LabeledMatrix(matrix.rows, matrix.cols, data)
-
-    @property
-    def secrets(self):
-        return self.matrix.rows
-
-    @property
-    def observables(self):
-        return self.matrix.cols
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.matrix.data
-
-    def same_type(self, other: "Channel") -> bool:
-        return self.matrix.same_type(other.matrix)
-
-    def compatible(self, other: "Channel") -> bool:
-        return self.matrix.compatible(other.matrix)
+        self.data = stochastic(matrix.data, lambda i: f"row {matrix.rows[i[0]]!r}")
+        self.data.setflags(write=False)
+        self.rows, self._row_index = matrix.rows, matrix._row_index
+        self.cols, self._col_index = matrix.cols, matrix._col_index
 
     def __repr__(self):
         return f"Channel({len(self.secrets)}x{len(self.observables)})"
@@ -137,7 +125,7 @@ def hidden_choice(mu: IndexDistribution, family: Mapping[Label, Channel]) -> Cha
                 f"hidden choice needs identical types; member {i!r} differs "
                 f"(identical output sets are required, or the output would reveal the index)"
             )
-        terms.append(scalar_mul(mu[i], ch.matrix))
+        terms.append(scalar_mul(mu[i], ch))
     return Channel(matrix_sum(terms))
 
 
@@ -153,7 +141,7 @@ def visible_choice(mu: IndexDistribution, family: Mapping[Label, Channel]) -> Ch
     if missing:
         raise BadDistribution(f"distribution weights indices {missing!r} missing from the family")
     order = tuple(sorted(family, key=label_key))
-    scaled = [(i, scalar_mul(mu[i], family[i].matrix)) for i in order]
+    scaled = [(i, scalar_mul(mu[i], family[i])) for i in order]
     return Channel(concat(scaled))
 
 
@@ -262,7 +250,7 @@ def equivalent(c1: Channel, c2: Channel, tol: float = 1e-7) -> EquivalenceResult
     if not c1.compatible(c2):
         raise IncompatibleRows("equivalence needs a common secret set")
     n1 = len(c1.observables)
-    data = np.hstack([c1.data, c2.matrix.align_to(c1.secrets).data])
+    data = np.hstack([c1.data, c2.align_to(c1.secrets).data])
     classes, mass = _classes(data, tol), data.sum(axis=0)
     one, two = slice(None, n1), slice(n1, None)
     residual, witnesses = 0.0, []

@@ -51,7 +51,7 @@ from .minimax import (
     solve_convex_linear_game,
     solve_matrix_game,
 )
-from .vuln import Prior, VulnMeasure
+from .vuln import Prior, VulnMeasure, stacked_posterior_vuln
 
 KINDS = ("I", "II", "III", "IV", "V", "VI_mixed", "VI_behavioral")
 
@@ -92,7 +92,7 @@ class LeakageGame:
                     f"prior has {sorted(map(str, prior.labels))}")
             cols = [column[y] for y in ch.observables]
             tensor[at][:, cols] = (ch.data if ch.secrets == prior.labels
-                                   else ch.matrix.align_to(prior.labels).data)
+                                   else ch.align_to(prior.labels).data)
             declared[at][cols] = True
         self._fill(defenders, attackers, observables, tensor, declared, prior, measure)
 
@@ -158,24 +158,19 @@ def _index(labels: tuple, label) -> int:
         raise UnknownAction(f"unknown action {label!r}") from None
 
 
-def _vulnerabilities(game: LeakageGame, channels: np.ndarray) -> np.ndarray:
-    """Posterior vulnerability sum_y max_w sum_x pi(x) C(x, y) g(w, x) of
-    every channel C in a stack ``channels[..., x, y]``."""
-    joint = game.prior.weights[:, None] * channels
-    return (game.gain @ joint).max(axis=-2).sum(axis=-1)
-
-
 def payoff_matrix(game: LeakageGame) -> LabeledMatrix:
     """Pure-profile payoffs, defenders as rows: the posterior vulnerability
     of every profile's channel at once."""
-    return LabeledMatrix(game.defenders, game.attackers, _vulnerabilities(game, game.tensor))
+    return LabeledMatrix(game.defenders, game.attackers,
+                         stacked_posterior_vuln(game.gain, game.prior.weights, game.tensor))
 
 
 def uniform_worst_case(game: LeakageGame) -> float:
     """The best attacker action's payoff against the hidden uniform
     mixture of defender actions: the vulnerability of each column's
     mixture channel, tensor.mean over d, maximised over the columns."""
-    return float(_vulnerabilities(game, game.tensor.mean(axis=0)).max())
+    return float(stacked_posterior_vuln(game.gain, game.prior.weights,
+                                        game.tensor.mean(axis=0)).max())
 
 
 @dataclass

@@ -62,9 +62,7 @@ def matrix_from_json(obj: dict) -> LabeledMatrix:
 
 
 def channel_to_json(c: Channel) -> dict:
-    obj = matrix_to_json(c.matrix)
-    obj["kind"] = "channel"
-    return obj
+    return {**matrix_to_json(c), "kind": "channel"}
 
 
 @_reader("channel")

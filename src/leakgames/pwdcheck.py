@@ -74,6 +74,13 @@ def _observed_column(n: int, diff, order):
     return column
 
 
+def _low_input_value(n: int, low_input) -> int:
+    """``low_input`` read as a binary number; it must be an n-bit string."""
+    if not isinstance(low_input, str) or len(low_input) != n or low_input.strip("01"):
+        raise ValueError(f"low input {low_input!r} is not an {n}-bit string")
+    return int(low_input, 2)
+
+
 def first_mismatch(x: str, a: str, order) -> int:
     """1-based position, in checking order, of the first differing bit;
     0 when x == a."""
@@ -88,8 +95,7 @@ def pwd_channel(n: int, order: str, low_input: str) -> Channel:
     and one attacker-chosen low input."""
     positions = _parse_order(order, n)
     secrets = secret_labels(n)
-    if low_input not in secrets:
-        raise ValueError(f"low input {low_input!r} is not an {n}-bit string")
+    _low_input_value(n, low_input)
     cols = observable_labels(n)
     col_index = {c: i for i, c in enumerate(cols)}
     data = np.zeros((len(secrets), len(cols)))
@@ -103,8 +109,7 @@ def pwd_channel(n: int, order: str, low_input: str) -> Channel:
 def const_time_channel(n: int, low_input: str) -> Channel:
     """Constant-time variant: only accept/reject after n iterations."""
     secrets = secret_labels(n)
-    if low_input not in secrets:
-        raise ValueError(f"low input {low_input!r} is not an {n}-bit string")
+    _low_input_value(n, low_input)
     cols = (("F", str(n)), ("T", str(n)))
     data = np.zeros((len(secrets), 2))
     for i, x in enumerate(secrets):
@@ -154,7 +159,7 @@ def measured_iterations(n: int, samples: int, seed: int = 0,
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
-    a = int(low_input, 2) if low_input is not None else 0
+    a = 0 if low_input is None else _low_input_value(n, low_input)
     xs = rng.integers(0, 2 ** n, size=samples)
     # F@k takes k iterations and T@n takes n
     column = _observed_column(n, xs ^ a, range(1, n + 1))

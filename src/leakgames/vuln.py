@@ -11,7 +11,8 @@ Posterior vulnerability is computed column-wise on the joint matrix,
     sum_y max_w sum_x pi(x) C(x, y) g(w, x),
 
 which needs no normalisation of posteriors and so is indifferent to
-zero-probability observations.
+zero-probability observations.  ``posterior_vuln`` and the game payoffs
+both evaluate it through ``stacked_posterior_vuln``.
 
 All functions here are pure; the Monte-Carlo estimator takes an
 explicit seed.
@@ -181,12 +182,18 @@ def prior_vuln(measure: VulnMeasure, prior: Prior) -> float:
     return float(scores.max())
 
 
+def stacked_posterior_vuln(gain: np.ndarray, pi: np.ndarray, channels: np.ndarray):
+    """Posterior vulnerability of every channel in a stack ``channels[..., x, y]``,
+    with ``gain[w, x]`` and ``pi[x]`` in the stack's secret order."""
+    return (gain @ (pi[:, None] * channels)).max(axis=-2).sum(axis=-1)
+
+
 def posterior_vuln(measure: VulnMeasure, prior: Prior, channel: Channel) -> float:
     """Expected adversarial value after observing the channel output."""
     measure.check_secrets(channel.secrets)
     pi = prior.aligned(channel.secrets)
-    joint = pi[:, None] * channel.data
     if measure.is_custom:
+        joint = pi[:, None] * channel.data
         order = sorted(range(len(channel.secrets)),
                        key=lambda i: label_key(channel.secrets[i]))
         total = 0.0
@@ -195,8 +202,7 @@ def posterior_vuln(measure: VulnMeasure, prior: Prior, channel: Channel) -> floa
             if mass > 0.0:
                 total += mass * float(measure.evaluator(joint[order, j] / mass))
         return total
-    scores = measure.gain_matrix(channel.secrets) @ joint  # |W| x |Y|
-    return float(scores.max(axis=0).sum())
+    return float(stacked_posterior_vuln(measure.gain_matrix(channel.secrets), pi, channel.data))
 
 
 def best_guesses(measure: VulnMeasure, prior: Prior, channel: Channel):

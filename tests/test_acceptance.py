@@ -210,10 +210,10 @@ def test_c04_operator_algebra():
         # binary laws: commutativity, rescaled associativity, absorption
         if not eq(binary_hidden(p, c1, c2).data, binary_hidden(1 - p, c2, c1).data):
             violations.append((i, "hidden commutativity"))
-        lhs = binary_hidden(p, c1, binary_hidden(q, c2, c3)).matrix
-        inner = matrix_sum([scalar_mul(p / q, c1.matrix), scalar_mul(1 - p, c2.matrix)])
+        lhs = binary_hidden(p, c1, binary_hidden(q, c2, c3))
+        inner = matrix_sum([scalar_mul(p / q, c1), scalar_mul(1 - p, c2)])
         rhs = matrix_sum([scalar_mul(q, inner),
-                          scalar_mul((1 - q) * (1 - p), c3.matrix)])
+                          scalar_mul((1 - q) * (1 - p), c3)])
         if not eq(Channel(rhs).data, lhs.data):
             violations.append((i, "hidden associativity"))
         if not eq(binary_hidden(q, binary_hidden(p, c1, c2),
@@ -224,10 +224,10 @@ def test_c04_operator_algebra():
                           binary_visible(1 - p, c2, d1), tol=1e-7):
             violations.append((i, "visible commutativity"))
         vl = binary_visible(p, d1, binary_visible(q, c2, c3))
-        vi = concat([("1", scalar_mul(p / q, d1.matrix)),
-                     ("2", scalar_mul(1 - p, c2.matrix))])
+        vi = concat([("1", scalar_mul(p / q, d1)),
+                     ("2", scalar_mul(1 - p, c2))])
         vr = Channel(concat([("1", scalar_mul(q, vi)),
-                             ("2", scalar_mul((1 - q) * (1 - p), c3.matrix))]))
+                             ("2", scalar_mul((1 - q) * (1 - p), c3))]))
         if not equivalent(vl, vr, tol=1e-7):
             violations.append((i, "visible associativity"))
 
@@ -332,7 +332,7 @@ def test_c08_uniform_prior_equilibrium():
         left = pwd_channel(n, d_label, a0)
         right = pwd_channel(n, rho_d, a0)
         rows = tuple(permute_bits(x, rho) for x in right.secrets)
-        permuted = right.matrix
+        permuted = right
         from leakgames.matrix import LabeledMatrix
         permuted = LabeledMatrix(rows, right.observables, right.data).align_to(
             left.secrets, left.observables)

@@ -15,6 +15,7 @@ from leakgames.channels import (
     zero_extend,
 )
 from leakgames.errors import BadDistribution, IncompatibleRows, TypeMismatch
+from leakgames.jsonio import matrix_to_json
 from leakgames.matrix import LabeledMatrix, concat, matrix_sum, scalar_mul
 
 C00 = channel("01", "01", [[1, 0], [1, 0]])
@@ -42,6 +43,28 @@ def test_channel_validation_rejects_non_finite_entries():
 def test_channel_validation_names_the_bad_rows_sum():
     with pytest.raises(ValueError, match=r"^row '0' sums to 0\.5, expected 1$"):
         channel("01", "01", [[0.5, 0], [0, 1]])
+
+
+def test_channel_is_its_labelled_matrix_checked_once(monkeypatch):
+    import leakgames.matrix as matrix
+    calls = []
+    monkeypatch.setattr(matrix, "check_label", lambda label: calls.append(label) or label)
+    rows, cols = ("x1", "x2"), ("y1", ("y2", "1"), "y3")
+    c = Channel(LabeledMatrix(rows, cols, [[0.5, 0.5, 0], [0, 0.25, 0.75]]))
+    assert calls == [*rows, *cols]
+    monkeypatch.undo()
+
+    assert isinstance(c, LabeledMatrix) and not hasattr(c, "matrix")
+    assert (c.secrets, c.observables) == (c.rows, c.cols) == (rows, cols)
+    flipped = c.align_to(rows[::-1], cols[::-1])
+    assert flipped.at("x2", "y3") == c.at("x2", "y3") == 0.75
+    assert c.same_type(flipped) and flipped.same_type(c)
+    assert scalar_mul(2.0, c).at("x1", "y1") == 1.0
+    assert matrix_sum([c, flipped]).entries_equal(scalar_mul(2.0, c))
+    joined = concat([("1", c), ("2", flipped)])
+    assert joined.col(("y3", "2")).tolist() == [0.0, 0.75]
+    assert matrix_to_json(c) == {"rows": ["x1", "x2"], "cols": ["y1", "y2@1", "y3"],
+                                 "data": [[0.5, 0.5, 0.0], [0.0, 0.25, 0.75]]}
 
 
 def test_index_distribution():
@@ -72,10 +95,10 @@ def test_hidden_choice_table():
 def test_hidden_choice_point_mass_and_idempotency():
     c1, c2, _ = mix_example_channels()
     point = hidden_choice(IndexDistribution({"1": 1.0, "2": 0.0}), {"1": c1, "2": c2})
-    assert point.matrix.entries_equal(c1.matrix)
+    assert point.entries_equal(c1)
     same = hidden_choice(IndexDistribution({"i": 0.3, "j": 0.5, "k": 0.2}),
                          {x: c1 for x in "ijk"})
-    assert same.matrix.entries_equal(c1.matrix, tol=1e-15)
+    assert same.entries_equal(c1, tol=1e-15)
 
 
 def test_hidden_choice_requires_identical_outputs():
@@ -88,16 +111,16 @@ def test_visible_choice_table():
     c1, _, c3 = mix_example_channels()
     mix = binary_visible(1 / 3, c1, c3)
     assert mix.observables == (("y1", "1"), ("y2", "1"), ("y1", "2"), ("y3", "2"))
-    assert np.allclose(mix.matrix.row("x1"), [1 / 6, 1 / 6, 2 / 9, 4 / 9])
-    assert np.allclose(mix.matrix.row("x2"), [1 / 9, 2 / 9, 1 / 3, 1 / 3])
+    assert np.allclose(mix.row("x1"), [1 / 6, 1 / 6, 2 / 9, 4 / 9])
+    assert np.allclose(mix.row("x2"), [1 / 9, 2 / 9, 1 / 3, 1 / 3])
     assert np.allclose(mix.data.sum(axis=1), 1.0)
 
 
 def test_visible_choice_point_mass_keeps_zero_columns():
     c1, c2, _ = mix_example_channels()
     v = binary_visible(1.0, c1, c2)
-    assert np.allclose(v.matrix.col(("y1", "1")), c1.matrix.col("y1"))
-    assert np.all(v.matrix.col(("y1", "2")) == 0)
+    assert np.allclose(v.col(("y1", "1")), c1.col("y1"))
+    assert np.all(v.col(("y1", "2")) == 0)
     assert np.allclose(v.data.sum(axis=1), 1.0)
     assert equivalent(v, c1)
 
@@ -110,16 +133,16 @@ def test_visible_choice_rejects_incompatible_rows():
 
 
 def test_binary_hidden_boundaries_and_table():
-    assert binary_hidden(0.0, C00, C10).matrix.entries_equal(C10.matrix)
+    assert binary_hidden(0.0, C00, C10).entries_equal(C10)
     mixed = binary_hidden(0.3, C00, C10)
     assert np.allclose(mixed.data, [[0.3, 0.7], [1.0, 0.0]])
-    assert binary_hidden(0.4, C11, C11).matrix.entries_equal(C11.matrix, tol=1e-15)
+    assert binary_hidden(0.4, C11, C11).entries_equal(C11, tol=1e-15)
 
 
 def test_zero_extend():
     ext = zero_extend(C01)
     assert ext.observables == ("0", "1", "y0")
-    assert np.all(ext.matrix.col("y0") == 0)
+    assert np.all(ext.col("y0") == 0)
     assert np.allclose(ext.data.sum(axis=1), 1.0)
     twice = zero_extend(ext)
     assert len(twice.observables) == 4
@@ -131,15 +154,15 @@ def test_equivalent_on_identity_permutation():
     result = equivalent(C01, C10)
     assert result.equivalent
     # independent check: the column multisets literally match
-    cols_01 = sorted(tuple(C01.matrix.col(c)) for c in C01.observables)
-    cols_10 = sorted(tuple(C10.matrix.col(c)) for c in C10.observables)
+    cols_01 = sorted(tuple(C01.col(c)) for c in C01.observables)
+    cols_10 = sorted(tuple(C10.col(c)) for c in C10.observables)
     assert cols_01 == cols_10
 
 
 def test_not_equivalent_with_witness():
     # every mix of C00's columns has equal coordinates; (0,1) does not
     for col in ("0", "1"):
-        assert C00.matrix.col(col)[0] == C00.matrix.col(col)[1]
+        assert C00.col(col)[0] == C00.col(col)[1]
     result = equivalent(C00, C01)
     assert not result.equivalent
     assert result.violating_column in ("0", "1")
@@ -240,7 +263,7 @@ def test_idempotency_laws():
         c = random_channel(rng, SECRETS, ("y1", "y2"))
         mu = _random_dist(rng, ["1", "2", "3"])
         fam = {k: c for k in ("1", "2", "3")}
-        assert hidden_choice(mu, fam).matrix.entries_equal(c.matrix, tol=1e-9)
+        assert hidden_choice(mu, fam).entries_equal(c, tol=1e-9)
         assert equivalent(visible_choice(mu, fam), c, tol=1e-7)
 
 
@@ -258,7 +281,7 @@ def test_reorganisation_laws():
             i: hidden_choice(eta, {j: fam_same[i, j] for j in j_keys})
             for i in i_keys})
         flat = hidden_choice(prod, fam_same)
-        assert nested.matrix.entries_equal(flat.matrix, tol=1e-9)
+        assert nested.entries_equal(flat, tol=1e-9)
 
         # visible over visible is equivalent to the product tagging
         fam_cols = {j: tuple(f"y{j}{k}" for k in range(2)) for j in j_keys}
@@ -289,21 +312,21 @@ def test_binary_hidden_laws():
         p, q, r = rng.uniform(size=3)
         q = max(q, 1e-3)
 
-        assert binary_hidden(p, c1, c1).matrix.entries_equal(c1.matrix, tol=1e-9)
-        assert binary_hidden(p, c1, c2).matrix.entries_equal(
-            binary_hidden(1 - p, c2, c1).matrix, tol=1e-9)
+        assert binary_hidden(p, c1, c1).entries_equal(c1, tol=1e-9)
+        assert binary_hidden(p, c1, c2).entries_equal(
+            binary_hidden(1 - p, c2, c1), tol=1e-9)
 
         # associativity in rescaled form; intermediates are plain matrices
-        lhs = binary_hidden(p, c1, binary_hidden(q, c2, c3)).matrix
-        scaled = matrix_sum([scalar_mul(p, scalar_mul(1 / q, c1.matrix)),
-                             scalar_mul(1 - p, c2.matrix)])
+        lhs = binary_hidden(p, c1, binary_hidden(q, c2, c3))
+        scaled = matrix_sum([scalar_mul(p, scalar_mul(1 / q, c1)),
+                             scalar_mul(1 - p, c2)])
         rhs = matrix_sum([scalar_mul(q, scaled),
-                          scalar_mul(1 - q, scalar_mul(1 - p, c3.matrix))])
-        assert Channel(rhs).matrix.entries_equal(lhs, tol=1e-9)
+                          scalar_mul(1 - q, scalar_mul(1 - p, c3))])
+        assert Channel(rhs).entries_equal(lhs, tol=1e-9)
 
         absorbed = binary_hidden(q, binary_hidden(p, c1, c2), binary_hidden(r, c1, c2))
         direct = binary_hidden(p * q + (1 - q) * r, c1, c2)
-        assert absorbed.matrix.entries_equal(direct.matrix, tol=1e-9)
+        assert absorbed.entries_equal(direct, tol=1e-9)
 
 
 def test_binary_visible_laws():
@@ -320,10 +343,10 @@ def test_binary_visible_laws():
                           binary_visible(1 - p, c2, c1), tol=1e-7)
 
         lhs = binary_visible(p, c1, binary_visible(q, c2, c3))
-        scaled = concat([("1", scalar_mul(p / q, c1.matrix)),
-                         ("2", scalar_mul(1 - p, c2.matrix))])
+        scaled = concat([("1", scalar_mul(p / q, c1)),
+                         ("2", scalar_mul(1 - p, c2))])
         rhs = Channel(concat([("1", scalar_mul(q, scaled)),
-                              ("2", scalar_mul((1 - q) * (1 - p), c3.matrix))]))
+                              ("2", scalar_mul((1 - q) * (1 - p), c3))]))
         assert equivalent(lhs, rhs, tol=1e-7)
 
 
@@ -385,7 +408,7 @@ def equivalent_pairs(draw):
     else:
         t = binary_hidden(share, c, c)
     rows = draw(st.permutations(range(len(c.secrets))))
-    t = Channel(t.matrix.align_to(tuple(c.secrets[i] for i in rows)))
+    t = Channel(t.align_to(tuple(c.secrets[i] for i in rows)))
     return c, t
 
 
@@ -397,12 +420,12 @@ def _move(t: Channel, x: int, j: int, k: int, delta: float) -> Channel:
 
 
 def _lp_residuals(c1: Channel, c2: Channel):
-    c2a = Channel(c2.matrix.align_to(c1.secrets))
+    c2a = Channel(c2.align_to(c1.secrets))
     return _postprocessing_fit(c1, c2a), _postprocessing_fit(c2a, c1)
 
 
 def _check_witnesses(c1: Channel, c2: Channel, result) -> None:
-    c2a = c2.matrix.align_to(c1.secrets).data
+    c2a = c2.align_to(c1.secrets).data
     for (base, target), R in zip(((c2a, c1.data), (c1.data, c2a)), result.coefficients):
         assert R.min() >= 0.0 and np.allclose(R.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         assert np.abs(base @ R - target).max() <= result.residual <= TOL

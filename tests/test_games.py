@@ -370,7 +370,7 @@ def test_pieces_align_channels_listed_in_other_orders():
                                   hidden_branch_pieces(g, a))
         assert np.array_equal(payoff_matrix(reordered).data, payoff_matrix(g).data)
         for (d, a), ch in chans.items():
-            assert reordered.channel(d, a).matrix.entries_equal(ch.matrix)
+            assert reordered.channel(d, a).entries_equal(ch)
 
 
 def test_game_arrays_are_read_only_and_built_once():

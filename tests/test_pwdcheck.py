@@ -40,7 +40,7 @@ def test_channel_123_101_matches_table():
     c = pwd_channel(3, "123", "101")
     assert c.observables == (("F", "1"), ("F", "2"), ("F", "3"), ("T", "3"))
     for x, hit in TABLE_123_101.items():
-        row = dict(zip(c.observables, c.matrix.row(x)))
+        row = dict(zip(c.observables, c.row(x)))
         assert row[hit] == 1.0
         assert sum(row.values()) == 1.0
 
@@ -48,14 +48,14 @@ def test_channel_123_101_matches_table():
 def test_channel_reversed_order_first_mismatch():
     c = pwd_channel(3, "321", "101")
     # bit 3 is checked first; 100 differs from 101 exactly there
-    assert c.matrix.at("100", ("F", "1")) == 1.0
+    assert c.at("100", ("F", "1")) == 1.0
 
 
 def test_accept_row():
     for n in (2, 4):
         a = "1" * n
         c = pwd_channel(n, "".join(str(i) for i in range(1, n + 1)), a)
-        assert c.matrix.at(a, ("T", str(n))) == 1.0
+        assert c.at(a, ("T", str(n))) == 1.0
 
 
 def test_channels_are_deterministic_and_total():
@@ -136,7 +136,7 @@ def test_const_time_channel_table():
     c = const_time_channel(3, "101")
     assert c.observables == (("F", "3"), ("T", "3"))
     for x in secret_labels(3):
-        assert c.matrix.at(x, ("T", "3")) == (1.0 if x == "101" else 0.0)
+        assert c.at(x, ("T", "3")) == (1.0 if x == "101" else 0.0)
 
 
 def test_const_time_posterior_uniform():
@@ -244,6 +244,13 @@ def test_measured_iterations():
     for n in (4, 8):
         measured = measured_iterations(n, samples=100_000, seed=7)
         assert measured == pytest.approx(expected_iterations(n), rel=0.01)
+
+
+def test_measured_iterations_rejects_a_low_input_that_is_not_n_bits():
+    assert measured_iterations(3, 1000, seed=0, low_input="101") == pytest.approx(1.811, abs=0)
+    for bad in ("10101", "1"):
+        with pytest.raises(ValueError, match=f"^low input '{bad}' is not an 3-bit string$"):
+            measured_iterations(3, 1000, seed=0, low_input=bad)
 
 
 def test_bit_permutation_symmetry():
