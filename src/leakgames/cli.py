@@ -20,7 +20,7 @@ import numpy as np
 from . import jsonio
 from .channels import equivalent, hidden_choice, visible_choice
 from .errors import LeakGamesError
-from .games import audit_hierarchy, payoff_matrix, solve, uniform_worst_case
+from .games import KINDS, audit_hierarchy, payoff_matrix, solve, uniform_worst_case
 from .labels import format_label
 from .pwdcheck import (
     MAX_BITS_DEFAULT,
@@ -37,10 +37,7 @@ EXIT_ERROR = 1
 EXIT_NOT_EQUIVALENT = 2
 EXIT_ORDERING_VIOLATION = 3
 
-KIND_FLAGS = {
-    "I": "I", "II": "II", "III": "III", "IV": "IV", "V": "V",
-    "VI-mixed": "VI_mixed", "VI-behavioral": "VI_behavioral",
-}
+KIND_FLAGS = {k.replace("_", "-"): k for k in KINDS}
 
 
 def _print_json(obj) -> None:

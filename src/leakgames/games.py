@@ -43,7 +43,7 @@ from typing import Mapping
 import numpy as np
 
 from .channels import Channel, stochastic
-from .errors import DuplicateIndex, SolverError, TypeMismatch, UnknownAction
+from .errors import DuplicateIndex, TypeMismatch, UnknownAction
 from .labels import label_key
 from .matrix import LabeledMatrix, sorted_labels
 from .minimax import (
@@ -276,15 +276,10 @@ def _solve_defender_first_visible(game: LeakageGame) -> GameSolution:
     i = int(np.argmin(worst))           # actions are sorted: ties go to the lowest label
     d_star = game.defenders[i]
     reply = dict(zip(game.defenders, (game.attackers[j] for j in u.argmax(axis=1))))
-    value = float(worst[i])
     behavioral = {d: {reply[d]: 1.0} for d in game.defenders}
-    # the pure follower reply and its one-point behavioural form must agree
-    if abs(value - sum(p * u[i, game.attackers.index(a)]
-                       for a, p in behavioral[d_star].items())) > 1e-12:
-        raise SolverError("defender-first solution failed its consistency identity")
     return GameSolution(
         kind="II",
-        value=value,
+        value=float(worst[i]),
         defender={"type": "pure", "action": d_star},
         attacker={"type": "function", "map": reply, "behavioral": behavioral},
         diagnostics={"solver": "pure minimax scan",

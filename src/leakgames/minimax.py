@@ -8,32 +8,33 @@ and exists to cross-validate the LP, not to replace it.
 mixture enters a convex piecewise-linear function (one linear piece per
 observable/guess pair) and the column player takes the worst case.  A
 matrix game is the case of one piece per branch, and
-``solve_matrix_game`` solves it so.  Two dual linear programs give the
-value: the row player's epigraph LP
+``solve_matrix_game`` solves it so.  One LP gives the value, the row
+player's epigraph LP, with variables (z, t, delta) and rows per a, per
+piece and for the simplex, in that order:
 
-    min z   s.t.  t_{a,y} >= sum_d delta(d) k[a][y, w, d]   for all w,
-                  z >= sum_y t_{a,y}                        for all a,
-                  delta a distribution,
+    min z   s.t.  sum_y t_{a,y} - z <= 0                       for all a,
+                  sum_d delta(d) k[a][y, w, d] - t_{a,y} <= 0   for all w,
+                  delta a distribution.
 
-and the column player's LP
+A group (a, y) with one piece w is substituted out: its piece
+k[a][y, w] . delta takes the place of t_{a,y} in the per-a row, and it
+has no t and no piece row.  ``LinearProgram.dual`` turns this LP into
+the column player's LP, with variables (alpha, beta, gamma) and rows
+for the simplex, per group of two or more pieces and per d:
 
-    max g   s.t.  sum_a alpha(a) = 1,
-                  sum_w beta(a, y, w) = alpha(a)            for all (a, y),
-                  g <= sum_{a,y,w} beta(a, y, w) k[a][y, w, d]  for all d.
+    max gamma   s.t.  sum_a alpha(a) = 1,
+                      sum_w beta(a, y, w) = alpha(a)        for all such (a, y),
+                      gamma <= sum beta(a, y, w) k[a][y, w, d]
+                               + sum_{alone} alpha(a) k[a][y, w, d]   for all d.
 
-A group (a, y) with one piece w is substituted out of both: the
-epigraph LP puts k[a][y, w] . delta in place of t_{a,y} in its per-a
-row, and the column player's LP puts alpha(a) in place of
-beta(a, y, w).  With one piece per branch they are the two matrix-game
-LPs.  So the epigraph LP has one row per piece of a group of two or
-more, per a, and for the simplex; the column player's one row for the
-simplex, per such group, and per d.  First, pieces that can never bind
-are dropped: within each (a, y), a piece that duplicates an earlier one
-or is componentwise dominated by another (exact, since delta >= 0).
-Then the LP with fewer rows is solved.  From the epigraph LP, delta is
-its primal and alpha the duals of the per-a rows; from the column
-player's LP, alpha is its primal and delta the duals of the per-d rows.
-The uniqueness probes always use the full, unpruned pair.
+With one piece per branch they are the two matrix-game LPs.  First,
+pieces that can never bind are dropped: within each (a, y), a piece
+that duplicates an earlier one or is componentwise dominated by another
+(exact, since delta >= 0).  Then the LP is solved, or its dual when
+that has fewer rows (``LinearProgram.dual_solution`` reads the
+epigraph LP's solution back off it), and delta is the epigraph LP's
+primal and alpha minus the duals of its per-a rows.  The uniqueness
+probes always use the full, unpruned LP and its dual.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ def _one_piece(u: np.ndarray) -> list:
 
 
 def matrix_game_lp(u: np.ndarray) -> LinearProgram:
-    """Row player's LP: variables (delta, v), min v."""
+    """Row player's LP: variables (v, delta), min v."""
     return convex_game_lp(_one_piece(u))[0]
 
 
@@ -204,8 +205,8 @@ class PieceSet:
 
     @property
     def alone(self) -> np.ndarray:
-        """Mask over pieces: the only piece of its group.  Both LPs
-        substitute such a group out (see the module docstring)."""
+        """Mask over pieces: the only piece of its group.  The epigraph
+        LP substitutes such a group out (see the module docstring)."""
         return np.bincount(self.group, minlength=self.n_groups)[self.group] == 1
 
     @property
@@ -213,16 +214,6 @@ class PieceSet:
         """The groups of two or more pieces, and the position among them
         of the group of each piece not ``alone``."""
         return np.unique(self.group[~self.alone], return_inverse=True)
-
-    @property
-    def defender_rows(self) -> int:
-        """Constraint rows of ``convex_game_lp``."""
-        return int((~self.alone).sum()) + self.n_a + 1
-
-    @property
-    def attacker_rows(self) -> int:
-        """Constraint rows of ``convex_game_attacker_lp``."""
-        return 1 + self.shared[0].shape[0] + self.n_d
 
 
 def binding_pieces(p: np.ndarray) -> np.ndarray:
@@ -258,91 +249,64 @@ def convex_game_lp(pieces) -> tuple[LinearProgram, int, list]:
     ``pieces`` is a sequence over column-player actions; pieces[a] is an
     array of shape (n_y_a, n_w_a, n_d): the linear coefficients over
     delta of piece (y, w) of branch a.  A PieceSet is accepted as well.
-    Variables: delta, one t per group of two or more pieces, z.  Returns
-    the LP, the number of delta variables, and the indices of the per-a
-    rows (for duals).
+    Variables: z, one t per group of two or more pieces, delta; rows:
+    per a, per piece of such a group, the simplex.  Returns the LP, the
+    number of delta variables (the last ones), and the indices of the
+    per-a rows (for duals).
     """
     ps = PieceSet.from_arrays(pieces)
     alone = ps.alone
     groups, t_of = ps.shared
     n_d, n_t, n_p, n_a = ps.n_d, groups.shape[0], t_of.shape[0], ps.n_a
-    nvar = n_d + n_t + 1  # delta, t, z
+    nvar = 1 + n_t + n_d  # z, t, delta
     c = np.zeros(nvar)
-    c[-1] = 1.0
-    A = np.zeros((n_p + n_a + 1, nvar))    # piece rows, per-a rows, simplex row
-    A[:n_p, :n_d] = ps.k[~alone]
-    A[np.arange(n_p), n_d + t_of] = -1.0
-    per_a = A[n_p:n_p + n_a]
-    per_a[ps.branch[groups], n_d + np.arange(n_t)] = 1.0
-    np.add.at(per_a[:, :n_d], ps.branch[ps.group[alone]], ps.k[alone])
-    per_a[:, -1] = -1.0
-    A[-1, :n_d] = 1.0
-    b = np.zeros(n_p + n_a + 1)
+    c[0] = 1.0
+    A = np.zeros((n_a + n_p + 1, nvar))    # per-a rows, piece rows, simplex row
+    per_a = A[:n_a]
+    per_a[:, 0] = -1.0
+    per_a[ps.branch[groups], 1 + np.arange(n_t)] = 1.0
+    np.add.at(per_a[:, 1 + n_t:], ps.branch[ps.group[alone]], ps.k[alone])
+    A[n_a + np.arange(n_p), 1 + t_of] = -1.0
+    A[n_a:-1, 1 + n_t:] = ps.k[~alone]
+    A[-1, 1 + n_t:] = 1.0
+    b = np.zeros(n_a + n_p + 1)
     b[-1] = 1.0
-    lp = LinearProgram.build(c, A, np.repeat([LESS, EQUAL], [n_p + n_a, 1]), b,
-                             sense="min", free=range(n_d, nvar))
-    return lp, n_d, list(range(n_p, n_p + n_a))
+    lp = LinearProgram.build(c, A, np.repeat([LESS, EQUAL], [n_a + n_p, 1]), b,
+                             sense="min", free=range(1 + n_t))
+    return lp, n_d, list(range(n_a))
 
 
 def convex_game_attacker_lp(pieces) -> tuple[LinearProgram, int]:
-    """Maximin LP of the column player for the convex game.
-
-    Variables: alpha (per a), beta (per piece of a group of two or
-    more), gamma.  It is the dual of ``convex_game_lp``: the duals of
-    its per-d rows, the last ``n_d`` rows, are the row player's delta.
-    Accepts the same inputs as ``convex_game_lp``; its rows grow with
-    the groups of two or more pieces, not with the pieces they hold,
-    which only add columns.
-    """
-    ps = PieceSet.from_arrays(pieces)
-    alone = ps.alone
-    groups, t_of = ps.shared
-    n_a, n_g, n_p = ps.n_a, groups.shape[0], t_of.shape[0]
-    nvar = n_a + n_p + 1
-    c = np.zeros(nvar)
-    c[-1] = 1.0
-    A = np.zeros((1 + n_g + ps.n_d, nvar))     # simplex row, group rows, per-d rows
-    A[0, :n_a] = 1.0
-    A[1 + t_of, n_a + np.arange(n_p)] = 1.0
-    A[1 + np.arange(n_g), ps.branch[groups]] = -1.0
-    d_rows = A[1 + n_g:]
-    d_rows[:, -1] = 1.0
-    d_rows[:, n_a:-1] = -ps.k[~alone].T
-    np.subtract.at(d_rows.T, ps.branch[ps.group[alone]], ps.k[alone])
-    b = np.zeros(A.shape[0])
-    b[0] = 1.0
-    lp = LinearProgram.build(c, A, np.repeat([EQUAL, LESS], [1 + n_g, ps.n_d]), b,
-                             sense="max", free=[nvar - 1])
-    return lp, n_a
+    """Maximin LP of the column player for the convex game: the dual of
+    ``convex_game_lp``, with variables alpha (per a), beta (per piece of
+    a group of two or more) and gamma, and rows for the simplex, per
+    such group and per d.  Returns the LP and the number of alpha
+    variables (the first ones)."""
+    lp, _, branch_rows = convex_game_lp(pieces)
+    return lp.dual(), len(branch_rows)
 
 
 def solve_convex_linear_game(pieces) -> ConvexGameSolution:
     """Solve min_delta max_a sum_y max_w (pieces[a][y, w] . delta).
 
-    Pieces that cannot bind are pruned first; then whichever of the two
-    dual formulations has fewer rows is solved, the defender epigraph
-    LP on a tie.
+    Pieces that cannot bind are pruned first; then the epigraph LP is
+    solved, or its dual when that has fewer rows.
     """
     arrays = [np.asarray(p, dtype=float) for p in pieces]
     kept = prune_pieces(arrays)
-    if kept.attacker_rows < kept.defender_rows:
-        formulation = "attacker"
-        lp, n_a = convex_game_attacker_lp(kept)
-        sol = require_optimal(lp_solve(lp), "convex game LP")
-        alpha = _distribution(sol.x[:n_a])
-        delta = _distribution(sol.duals[-kept.n_d:])
-    else:
-        formulation = "defender"
-        lp, n_d, branch_rows = convex_game_lp(kept)
-        sol = require_optimal(lp_solve(lp), "convex game LP")
-        delta = _distribution(sol.x[:n_d])
-        alpha = _distribution(-sol.duals[branch_rows])
+    lp, n_d, branch_rows = convex_game_lp(kept)
+    solved = lp.dual() if lp.n_vars < lp.b.shape[0] else lp
+    sol = require_optimal(lp_solve(solved), "convex game LP")
+    if solved is not lp:
+        sol = lp.dual_solution(sol)
     return ConvexGameSolution(
-        value=float(sol.objective), delta=delta, alpha=alpha,
+        value=float(sol.objective),
+        delta=_distribution(sol.x[-n_d:]),
+        alpha=_distribution(-sol.duals[branch_rows]),
         diagnostics={
             "gap": sol.gap, "iterations": sol.iterations,
-            "lp_rows": lp.b.shape[0], "lp_cols": lp.n_vars,
-            "formulation": formulation,
+            "lp_rows": solved.b.shape[0], "lp_cols": solved.n_vars,
+            "formulation": "defender" if solved is lp else "attacker",
             "pieces_total": sum(p.shape[0] * p.shape[1] for p in arrays),
             "pieces_kept": int(kept.k.shape[0]),
         },
@@ -376,13 +340,13 @@ def matrix_game_unique(u: np.ndarray, value: float, tol: float = 1e-7) -> bool:
 
 def convex_game_unique(pieces, value: float, tol: float = 1e-6) -> bool:
     """Probe uniqueness of (delta, alpha) in a convex-linear game."""
-    lp, n_d, _ = convex_game_lp(pieces)
-    for d in range(n_d):
+    lp, n_d, branch_rows = convex_game_lp(pieces)
+    for d in range(lp.n_vars - n_d, lp.n_vars):
         lo, hi = optimal_coordinate_range(lp, value, d)
         if hi - lo > tol:
             return False
-    dual_lp, n_a = convex_game_attacker_lp(pieces)
-    for a in range(n_a):
+    dual_lp = lp.dual()
+    for a in branch_rows:
         lo, hi = optimal_coordinate_range(dual_lp, value, a)
         if hi - lo > tol:
             return False

@@ -4,9 +4,10 @@ produces (matrix games, epigraph formulations, convex-hull membership).
 A ``LinearProgram`` is held as arrays from its builder to the solver:
 the objective c, the m x n matrix A, the right-hand sides b, each
 row's relation coded as its slack coefficient, and a mask of the free
-variables.  With one BLAS setting the same input always follows the
-same pivot path (the BLAS thread count changes the rounding of its
-products, and so the path can change with it).  The solver carries the
+variables; ``LinearProgram.dual`` derives its dual.  With one BLAS
+setting the same input always follows the same pivot path (the BLAS
+thread count changes the rounding of its products, and so the path can
+change with it).  The solver carries the
 dense inverse of the basis, (m+1) x (m+1) whatever the number of
 columns: ``_run_phase`` drives the pivot loop of leakgames._kernel_py
 (Devex pricing), reached through the module global ``_kernel``, and
@@ -21,7 +22,7 @@ scope.  LEAKGAMES_LOG=DEBUG logs LP sizes and objectives.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -86,6 +87,36 @@ class LinearProgram:
     @property
     def n_vars(self) -> int:
         return self.c.shape[0]
+
+    def _dual_signs(self) -> np.ndarray:
+        """Per row, the sign that turns its dual in ``lp_solve``'s
+        convention into its variable in ``dual()``: -1 on a row whose
+        dual is <= 0 there (<= when minimising, >= when maximising),
+        else +1."""
+        return np.where(self.slack == 0.0, 1.0,
+                        self.slack if self.sense == "max" else -self.slack)
+
+    def dual(self) -> "LinearProgram":
+        """The dual LP: one variable per row and one row per variable, in
+        the same orders.  An inequality row's variable is >= 0 and an
+        equality row's is free; a free variable gives an equality row,
+        any other a row in the dual's direction (<= when the dual
+        maximises, >= when it minimises).  At optimality its row duals are this
+        LP's x, and its x, signed back, are this LP's row duals (see
+        ``dual_solution``)."""
+        signs = self._dual_signs()
+        return LinearProgram(
+            c=signs * self.b, A=np.multiply(self.A.T, signs, order="C"), b=self.c,
+            slack=np.where(self.free, 0.0, 1.0 if self.sense == "min" else -1.0),
+            sense="max" if self.sense == "min" else "min", free=self.slack == 0.0)
+
+    def dual_solution(self, sol: "LPSolution") -> "LPSolution":
+        """This LP's solution read off ``sol``, a solution of ``dual()``:
+        x and the row duals swap roles.  The objective, gap and
+        iterations carry over; ``max_residual`` stays the dual's."""
+        if not sol.optimal:
+            return sol
+        return replace(sol, x=sol.duals, duals=self._dual_signs() * sol.x)
 
     @property
     def relations(self) -> np.ndarray:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Channel
-from .errors import LabelMismatch
+from .errors import DuplicateIndex, LabelMismatch
 from .labels import label_key
 from .matrix import sorted_labels
 
@@ -81,6 +81,9 @@ class GainFunction:
     def build(guesses, secrets, gain) -> "GainFunction":
         guesses = tuple(guesses)
         secrets = tuple(secrets)
+        for role, labels in (("guess", guesses), ("secret", secrets)):
+            if len(set(labels)) != len(labels):
+                raise DuplicateIndex(f"duplicate {role} labels")
         g = np.array(gain, dtype=float)
         if g.shape != (len(guesses), len(secrets)):
             raise ValueError("gain matrix shape does not match labels")

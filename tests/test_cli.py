@@ -198,6 +198,12 @@ def test_game_solve_kinds(capsys, demo_file):
         assert json.loads(out)["value"] == pytest.approx(value, abs=1e-8)
 
 
+def test_game_solve_kind_choices_are_pinned(capsys):
+    with pytest.raises(SystemExit):
+        main(["game", "solve", "--help"])
+    assert "--kind {I,II,III,IV,V,VI-mixed,VI-behavioral}" in capsys.readouterr().out
+
+
 def test_game_solve_vi_mixed_writes_the_c01_witness(capsys, demo_file):
     # function tuples become "a0-value|a1-value" keys, function_order a list
     code, out, _ = run(capsys, "game", "solve", "--kind", "VI-mixed", demo_file)
@@ -298,6 +304,17 @@ def test_vuln_rejects_a_measure_that_is_not_an_object(capsys, tmp_path, mix_file
     code, out, err = run(capsys, "vuln", "--prior", str(prior), "--channel", mix_files["c1"],
                          "--measure", str(measure))
     assert _one_error_line(code, out, err) and "bad measure JSON" in err, err
+
+
+def test_vuln_rejects_a_gain_with_repeated_secrets(capsys, tmp_path, mix_files):
+    prior = tmp_path / "prior.json"
+    prior.write_text(json.dumps({"weights": {"x1": 0.5, "x2": 0.5}}))
+    measure = tmp_path / "measure.json"
+    measure.write_text(json.dumps({"variant": "gain", "guesses": ["w"],
+                                   "secrets": ["x1", "x1", "x2"], "gain": [[5.0, 0.0, 1.0]]}))
+    code, out, err = run(capsys, "vuln", "--prior", str(prior), "--channel", mix_files["c1"],
+                         "--measure", str(measure))
+    assert _one_error_line(code, out, err) and "duplicate secret labels" in err, err
 
 
 @pytest.mark.parametrize("cmd", ["analyze", "gen", "timing"])

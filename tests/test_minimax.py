@@ -14,6 +14,7 @@ from leakgames.minimax import (
     fictitious_play,
     matrix_game_lp,
     matrix_game_unique,
+    PieceSet,
     prune_pieces,
     solve_convex_linear_game,
     solve_matrix_game,
@@ -254,18 +255,18 @@ def test_formulation_follows_row_counts():
 
 def _reference_matrix_game_lp(u):
     """The matrix game's row-player LP as written out before matrix games
-    became one-piece convex games: variables (delta, v), min v."""
+    became one-piece convex games: variables (v, delta), min v."""
     n_d, n_a = u.shape
     c = np.zeros(n_d + 1)
-    c[-1] = 1.0
+    c[0] = 1.0
     A = np.zeros((n_a + 1, n_d + 1))
     for a in range(n_a):
-        A[a, :n_d] = u[:, a]
-        A[a, -1] = -1.0
-    A[n_a, :n_d] = 1.0
+        A[a, 1:] = u[:, a]
+        A[a, 0] = -1.0
+    A[n_a, 1:] = 1.0
     b = np.zeros(n_a + 1)
     b[n_a] = 1.0
-    return LinearProgram.build(c, A, [LESS] * n_a + [EQUAL], b, sense="min", free=[n_d])
+    return LinearProgram.build(c, A, [LESS] * n_a + [EQUAL], b, sense="min", free=[0])
 
 
 def _reference_matrix_game_dual_lp(u):
@@ -324,6 +325,51 @@ def convex_games(draw):
                              max_size=n_y * n_w))
         pieces.append(pool[pick].reshape(n_y, n_w, n_d))
     return pieces
+
+
+def _reference_attacker_lp(pieces):
+    """The column player's LP as written out by hand before it was
+    derived as the dual of the epigraph LP: variables alpha (per a),
+    beta (per piece of a group of two or more) and gamma, max gamma;
+    rows: the simplex, one per such group, one per d."""
+    ps = PieceSet.from_arrays(pieces)
+    sizes = np.bincount(ps.group, minlength=ps.n_groups)
+    groups = np.flatnonzero(sizes > 1).tolist()
+    betas = np.flatnonzero(sizes[ps.group] > 1)
+    n_a, n_g, n_d = ps.n_a, len(groups), ps.n_d
+    nvar = n_a + betas.shape[0] + 1
+    c = np.zeros(nvar)
+    c[-1] = 1.0
+    A = np.zeros((1 + n_g + n_d, nvar))
+    A[0, :n_a] = 1.0
+    for row, g in enumerate(groups):
+        A[1 + row, ps.branch[g]] = -1.0
+    for j, i in enumerate(betas):
+        A[1 + groups.index(ps.group[i]), n_a + j] = 1.0
+        A[1 + n_g:, n_a + j] = -ps.k[i]
+    for i in np.flatnonzero(sizes[ps.group] == 1):
+        A[1 + n_g:, ps.branch[ps.group[i]]] -= ps.k[i]
+    A[1 + n_g:, -1] = 1.0
+    b = np.zeros(1 + n_g + n_d)
+    b[0] = 1.0
+    return LinearProgram.build(c, A, [EQUAL] * (1 + n_g) + [LESS] * n_d, b, sense="max",
+                               free=[nvar - 1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(convex_games())
+def test_attacker_lp_is_the_hand_built_column_player_lp(pieces):
+    for given_pieces in (pieces, prune_pieces(pieces)):
+        dual, n_a = convex_game_attacker_lp(given_pieces)
+        assert n_a == len(pieces)
+        _assert_same_lp(dual, _reference_attacker_lp(given_pieces))
+
+
+def test_checker_attacker_lps_are_the_hand_built_ones():
+    for n in (3, 4, 5):
+        game = build_game(n, Prior.uniform(secret_labels(n)))
+        kept = prune_pieces([hidden_branch_pieces(game, a) for a in game.attackers])
+        _assert_same_lp(convex_game_attacker_lp(kept)[0], _reference_attacker_lp(kept))
 
 
 @settings(max_examples=150, deadline=None)

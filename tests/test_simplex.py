@@ -544,6 +544,34 @@ def test_redundant_equality_lps_match_references(program):
     assert lp_solve(program).status != "infeasible"
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(mixed_relation_lps(), infeasible_lps(), unbounded_lps(), defender_form_lps()))
+def test_dual_lp_satisfies_strong_duality(program):
+    pytest.importorskip("scipy")
+    status, objective = _highs(program)
+    dual_status, dual_objective = _highs(program.dual())
+    close = dict(rel=1e-9, abs=1e-9)
+    assert (status == "optimal") == (dual_status == "optimal")
+    if status == "optimal":
+        assert dual_objective == pytest.approx(objective, **close)
+        # the solution of the dual, read back, solves this LP
+        sol = program.dual_solution(lp_solve(program.dual()))
+        assert sol.objective == pytest.approx(objective, **close)
+        assert float(program.c @ sol.x) == pytest.approx(objective, **close)
+        assert float(sol.duals @ program.b) == pytest.approx(objective, **close)
+        assert _loop_residual(program, sol.x) <= 1e-9
+        signed = sol.duals * program.slack * (1.0 if program.sense == "min" else -1.0)
+        assert signed.max(initial=0.0) <= 1e-9
+    if status == "unbounded":
+        assert dual_status == "infeasible"
+    if dual_status == "unbounded":
+        assert status == "infeasible"
+    again_status, again_objective = _highs(program.dual().dual())
+    assert again_status == status
+    if status == "optimal":
+        assert again_objective == pytest.approx(objective, **close)
+
+
 def test_checker_lps_match_references():
     for n, prior in ((3, bundled_prior("pihat")), (4, Prior.uniform(secret_labels(4)))):
         game = build_game(n, prior)

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import channel, random_channel, random_prior
 from leakgames.channels import IndexDistribution, hidden_choice, visible_choice
-from leakgames.errors import LabelMismatch
+from leakgames.errors import DuplicateIndex, LabelMismatch
 from leakgames.vuln import (
     GainFunction,
     Prior,
@@ -100,6 +100,14 @@ def test_non_finite_gain_rejected():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             GainFunction.build(("w",), ("a", "b"), [[1.0, bad]])
+
+
+def test_repeated_gain_labels_rejected():
+    # a repeated secret used to drop the first column's gain 5.0 silently
+    with pytest.raises(DuplicateIndex, match="secret"):
+        GainFunction.build(("w",), ("a", "a", "b"), [[5.0, 0.0, 1.0]])
+    with pytest.raises(DuplicateIndex, match="guess"):
+        GainFunction.build(("w", "w"), ("a", "b"), [[1.0, 0.0], [0.0, 1.0]])
 
 
 def test_label_mismatch():
