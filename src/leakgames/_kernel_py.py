@@ -16,10 +16,9 @@ column's largest entry, the other improving columns are tried in score
 order for a wider one.  Leaving row: Harris's ratio test (ratios within
 HARRIS_TOL of the bound tie), largest pivot, then lowest basic index; a
 leaving value below 0 (rounding) is set to 0 first, so the step is the
-ratio test's and never goes backwards.  After STALL_LIMIT consecutive
-degenerate pivots, Bland's rule (lowest index, exact ties) holds until
-a non-degenerate pivot; the count lives in ``state``, where the caller
-also sees the stall.  REFRESH asks for a reinversion after too much
+ratio test's and never goes backwards.  The kernel counts consecutive
+degenerate pivots in ``state``; the caller perturbs b once the count
+reaches STALL_LIMIT.  REFRESH asks for a reinversion after too much
 amplification from small pivots, or at a tiny pivot on an inverse that
 is not fresh.  ``dual_pivot`` repairs an optimal basis whose exact
 values are infeasible.
@@ -58,15 +57,14 @@ def run_simplex(work: np.ndarray, basis: np.ndarray, A: np.ndarray, c: np.ndarra
         improving = np.flatnonzero(d < -tol)
         if improving.size == 0:
             return OPTIMAL, it
-        bland = state[0] >= STALL_LIMIT
         score = d[improving] ** 2 / weights[improving]
-        j = int(improving[0] if bland else improving[np.argmax(score)])
-        step = _ratio_test(work, basis, A, d, j, tol, bland)
+        j = int(improving[np.argmax(score)])
+        step = _ratio_test(work, basis, A, d, j, tol)
         if step is None:
             return UNBOUNDED, it
-        if not bland and step[3]:
+        if step[3]:
             for k in improving[np.argsort(-score, kind="stable")][1:]:
-                other = _ratio_test(work, basis, A, d, int(k), tol, bland)
+                other = _ratio_test(work, basis, A, d, int(k), tol)
                 if other is not None and not other[3]:
                     j, step = int(k), other
                     break
@@ -91,7 +89,7 @@ def run_simplex(work: np.ndarray, basis: np.ndarray, A: np.ndarray, c: np.ndarra
     return ITERATION_LIMIT, max_iter
 
 
-def _ratio_test(work, basis, A, d, j, tol, bland):
+def _ratio_test(work, basis, A, d, j, tol):
     """Entering column j as [B^-1 a_j ; d_j], its pivot row, the smallest
     ratio and whether the pivot is narrow (below SMALL_PIVOT and below
     SMALL_RELATIVE times the column's largest entry); None when no entry
@@ -105,9 +103,8 @@ def _ratio_test(work, basis, A, d, j, tol, bland):
     rhs, pivots = np.maximum(work[positive, m], 0.0), col[positive]
     ratios = rhs / pivots
     best = ratios.min()
-    bound = best if bland or positive.size == 1 else ((rhs + HARRIS_TOL) / pivots).min()
-    ties = positive[ratios <= bound]
-    if ties.size > 1 and not bland:
+    ties = positive[ratios <= ((rhs + HARRIS_TOL) / pivots).min()]
+    if ties.size > 1:
         ties = ties[col[ties] == col[ties].max()]
     r = int(ties[np.argmin(basis[ties])]) if ties.size > 1 else int(ties[0])
     return col, r, best, col[r] < SMALL_PIVOT and col[r] < SMALL_RELATIVE * np.abs(col[:m]).max()

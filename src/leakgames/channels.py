@@ -95,7 +95,8 @@ class IndexDistribution:
         total = vals.sum()
         if abs(total - 1.0) > VALIDATION_TOL:
             raise BadDistribution(f"weights sum to {total:.12g}, expected 1")
-        self.weights = {k: max(v, 0.0) / total for k, v in items.items()}
+        vals = np.clip(vals, 0.0, None)
+        self.weights = dict(zip(items, (vals / vals.sum()).tolist()))
 
     @staticmethod
     def binary(p: float, first: Label = "1", second: Label = "2") -> "IndexDistribution":

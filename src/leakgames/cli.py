@@ -3,16 +3,13 @@ run the password case study.
 
 Exit codes: 0 ok, 1 error, 2 equivalence decided false, 3 hierarchy
 ordering violated.  All randomness sits behind --seed (default 0);
-identical invocations write byte-identical JSON.  LEAKGAMES_LOG sets
-the log level.
+identical invocations write byte-identical JSON.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import logging
-import os
 import sys
 
 import numpy as np
@@ -102,29 +99,37 @@ def cmd_vuln(args) -> int:
 
 
 def _solution_json(sol) -> dict:
-    def clean(node):
+    """A game solution as JSON.  Every action label, as key or value, is
+    written through format_label; a VI_mixed function is keyed by its
+    values' labels joined by '|', in ``function_order``.  Diagnostic
+    text is written as it is."""
+    def labelled(node):
+        # a label, a number, or a mapping from labels to such nodes
         if isinstance(node, dict):
-            return {_key(k): clean(v) for k, v in node.items()}
-        if isinstance(node, (list, tuple)):
-            return [clean(v) for v in node]
-        if isinstance(node, (np.floating, float)):
-            return float(node)
-        if isinstance(node, (np.integer, int)):
-            return int(node)
-        return node
+            return {format_label(k): labelled(v) for k, v in node.items()}
+        return format_label(node) if isinstance(node, (str, tuple)) else float(node)
 
-    def _key(k):
-        if isinstance(k, tuple):
-            return "|".join(format_label(p) for p in k) if all(
-                isinstance(p, (str, tuple)) for p in k) else str(k)
-        return k if isinstance(k, str) else format_label(k)
+    def strategy(player):
+        out = {}
+        for name, node in player.items():
+            if name == "type":
+                out[name] = node
+            elif name == "function_order":
+                out[name] = [format_label(a) for a in node]
+            elif name == "dist" and player["type"] == "mixed_functions":
+                out[name] = {"|".join(map(format_label, f)): float(w) for f, w in node.items()}
+            else:
+                out[name] = labelled(node)
+        return out
 
     return {
         "kind": sol.kind,
         "value": float(sol.value),
-        "defender": clean(sol.defender),
-        "attacker": clean(sol.attacker),
-        "diagnostics": clean(sol.diagnostics),
+        "defender": strategy(sol.defender),
+        "attacker": strategy(sol.attacker),
+        "diagnostics": {k: labelled(v) if isinstance(v, dict) else
+                        v.item() if isinstance(v, np.generic) else v
+                        for k, v in sol.diagnostics.items()},
     }
 
 
@@ -246,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("LEAKGAMES_LOG", "WARNING"))
     parser = build_parser()
     args = parser.parse_args(argv)
     handler = {"channel": cmd_channel, "vuln": cmd_vuln,

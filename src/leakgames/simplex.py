@@ -16,20 +16,17 @@ basis after a triangular crash (``_crash``) puts free and structural
 columns in on rows whose right-hand side is 0; when no artificial is
 left in it, phase 1 is skipped.  Variables are nonnegative or free (a
 difference of two nonnegative ones); general upper bounds are out of
-scope.  LEAKGAMES_LOG=DEBUG logs LP sizes and objectives.
+scope.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import _kernel_py
 from .errors import SolverError
-
-log = logging.getLogger(__name__)
 
 _kernel = _kernel_py
 KERNEL_NAME = "python"      # reported by perfbench/worker.py's environment record
@@ -180,8 +177,8 @@ def _run_phase(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray,
     """Simplex over all columns of A, reinverting after every REFRESH,
     every REFACTOR_EVERY pivots and every claim of the kernel.  Returns
     (status, work, y, iterations); status is a kernel constant.  A claim
-    counts only when made on a fresh inverse.  Once the kernel stalls,
-    b is perturbed so that each basic value grows by PERTURBATION,
+    counts only when made on a fresh inverse.  Once the kernel has
+    counted STALL_LIMIT degenerate pivots in a row, b is perturbed so that each basic value grows by PERTURBATION,
     relative, until the next optimum; then the true b is restored, and
     dual pivots repair what it makes infeasible.  A reinversion that
     fails (singular, or values below -1e-7) sends the phase back to the
@@ -304,7 +301,6 @@ def lp_solve(lp: LinearProgram) -> LPSolution:
 
     iterations = 0
     max_iter = 5000 + 100 * (m + n_std + n_art)
-    log.debug("lp_solve: %d rows, %d std cols, %d artificials", m, n_std, n_art)
 
     keep_rows = np.arange(m)
     _crash(A_std, b_std, np.flatnonzero(lp.free), basis)
@@ -368,8 +364,6 @@ def lp_solve(lp: LinearProgram) -> LPSolution:
 
     objective = primal0 if minimize else -primal0
     duals = duals0 if minimize else -duals0
-    log.debug("lp_solve: optimal obj=%.12g gap=%.3g iters=%d",
-              objective, gap, iterations)
     return LPSolution(status="optimal", x=x, duals=duals, objective=objective, gap=gap,
                       max_residual=residual, iterations=iterations,
                       diagnostics={"rows": lp.b.shape[0], "cols": n})

@@ -79,6 +79,12 @@ def test_index_distribution():
         IndexDistribution.binary(1.5)
 
 
+def test_index_distribution_renormalises_its_clipped_weights_exactly():
+    weights = IndexDistribution({"a": 1 + 5e-10, "b": -5e-10}).weights
+    assert weights == {"a": 1.0, "b": 0.0}
+    assert sum(weights.values()) == 1.0
+
+
 def test_index_distribution_rejects_non_finite_weights():
     for bad in (np.nan, np.inf):
         with pytest.raises(BadDistribution, match="finite"):

@@ -9,9 +9,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import demo_game
+from conftest import demo_game, random_channel
 from leakgames import jsonio
-from leakgames.cli import main
+from leakgames.cli import KIND_FLAGS, main
+from leakgames.games import LeakageGame, solve
+from leakgames.labels import parse_label, parse_label_pair
+from leakgames.pwdcheck import build_game, secret_labels
+from leakgames.vuln import Prior, VulnMeasure
 
 
 def run(capsys, *args):
@@ -222,6 +226,47 @@ def test_game_solve_v_notes_alias(capsys, demo_file):
     assert json.loads(out4)["value"] == pytest.approx(report["value"], abs=1e-12)
 
 
+@pytest.mark.parametrize("kind", list(KIND_FLAGS))
+def test_game_solve_writes_every_action_label_as_a_label(capsys, tmp_path, kind):
+    # tagged defenders, an atom that reads as tagged unless escaped, and
+    # an attacker atom holding the function-key separator
+    rng = np.random.default_rng(3)
+    defenders, attackers = (("p", "1"), ("p", "2"), "p@1"), ("a", "b|c")
+    game = LeakageGame(defenders, attackers,
+                       {(d, a): random_channel(rng, ("x", "y"), ("0", "1"))
+                        for d in defenders for a in attackers},
+                       Prior.uniform(("x", "y")), VulnMeasure.bayes())
+    path = tmp_path / "game.json"
+    jsonio.dump(jsonio.game_to_json(game), path)
+    code, out, _ = run(capsys, "game", "solve", "--kind", kind, str(path))
+    assert code == 0
+    report = json.loads(out)
+    actions = set(defenders) | set(attackers)
+
+    def check(node):
+        # a label, a number, or a mapping from distinct labels to such nodes
+        if isinstance(node, dict):
+            keys = [parse_label(k) for k in node]
+            assert len(set(keys)) == len(keys) and set(keys) <= actions, list(node)
+            for v in node.values():
+                check(v)
+        elif isinstance(node, str):
+            assert parse_label(node) in actions, node
+        else:
+            assert isinstance(node, float)
+
+    for player in (report["defender"], report["attacker"]):
+        for name, node in player.items():
+            if name == "function_order":
+                assert [parse_label(a) for a in node] == list(attackers)
+            elif name == "dist" and player["type"] == "mixed_functions":
+                assert all(set(parse_label_pair(f)) <= set(defenders) for f in node), list(node)
+            elif name != "type":
+                check(node)
+    for name in ("worst_case", "best_case"):
+        check(report["diagnostics"].get(name, {}))
+
+
 def test_game_audit_of_3bit_checker(capsys, tmp_path):
     # 6^8 defender functions: VI_mixed must not enumerate them
     path = str(tmp_path / "pwd3.json")
@@ -317,6 +362,38 @@ def test_vuln_rejects_a_gain_with_repeated_secrets(capsys, tmp_path, mix_files):
     assert _one_error_line(code, out, err) and "duplicate secret labels" in err, err
 
 
+def test_vuln_with_an_all_zero_gain_has_no_multiplicative_leakage(capsys, tmp_path, mix_files):
+    prior = tmp_path / "prior.json"
+    prior.write_text(json.dumps({"weights": {"x1": 0.5, "x2": 0.5}}))
+    measure = tmp_path / "measure.json"
+    measure.write_text(json.dumps({"variant": "gain", "guesses": ["w"],
+                                   "gain": [[0.0, 0.0]]}))
+    code, out, _ = run(capsys, "vuln", "--prior", str(prior), "--channel", mix_files["c1"],
+                       "--measure", str(measure))
+    assert code == 0
+    report = json.loads(out)
+    assert report["multiplicative_leakage"] is None
+    assert '"multiplicative_leakage": null' in out
+    assert report["prior_vulnerability"] == report["additive_leakage"] == 0.0
+
+
+def test_vuln_rejects_a_prior_far_from_unit_sum(capsys, tmp_path, mix_files):
+    prior = tmp_path / "prior.json"
+    prior.write_text(json.dumps({"weights": {"x1": 0.4, "x2": 0.5}}))
+    code, out, err = run(capsys, "vuln", "--prior", str(prior), "--channel", mix_files["c1"])
+    assert _one_error_line(code, out, err) and "refusing to renormalise" in err, err
+
+
+def test_vuln_rejects_an_unknown_measure_variant(capsys, tmp_path, mix_files):
+    prior = tmp_path / "prior.json"
+    prior.write_text(json.dumps({"weights": {"x1": 0.5, "x2": 0.5}}))
+    measure = tmp_path / "measure.json"
+    measure.write_text(json.dumps({"variant": "foo"}))
+    code, out, err = run(capsys, "vuln", "--prior", str(prior), "--channel", mix_files["c1"],
+                         "--measure", str(measure))
+    assert _one_error_line(code, out, err) and "unknown measure variant 'foo'" in err, err
+
+
 @pytest.mark.parametrize("cmd", ["analyze", "gen", "timing"])
 @pytest.mark.parametrize("bits", ["0", "-1"])
 def test_pwd_needs_at_least_one_bit(capsys, tmp_path, cmd, bits):
@@ -407,6 +484,15 @@ def test_pwd_analyze_prior_a(capsys):
     code, out, _ = run(capsys, "pwd", "analyze", "--bits", "3", "--prior", "prior_a")
     report = json.loads(out)
     assert report["value"] == pytest.approx(0.5625, abs=1e-6)
+
+
+def test_pwd_analyze_reads_a_prior_file(capsys, tmp_path):
+    weights = dict(zip(secret_labels(2), [0.1, 0.2, 0.3, 0.4]))
+    path = tmp_path / "prior.json"
+    path.write_text(json.dumps({"weights": weights}))
+    code, out, _ = run(capsys, "pwd", "analyze", "--bits", "2", "--prior", str(path))
+    assert code == 0
+    assert json.loads(out)["value"] == solve(build_game(2, Prior(weights)), "IV").value
 
 
 def test_pwd_timing(capsys):
