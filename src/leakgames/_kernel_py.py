@@ -16,12 +16,10 @@ column's largest entry, the other improving columns are tried in score
 order for a wider one.  Leaving row: Harris's ratio test (ratios within
 HARRIS_TOL of the bound tie), largest pivot, then lowest basic index; a
 leaving value below 0 (rounding) is set to 0 first, so the step is the
-ratio test's and never goes backwards.  The kernel counts consecutive
-degenerate pivots in ``state``; the caller perturbs b once the count
-reaches STALL_LIMIT.  REFRESH asks for a reinversion after too much
-amplification from small pivots, or at a tiny pivot on an inverse that
-is not fresh.  ``dual_pivot`` repairs an optimal basis whose exact
-values are infeasible.
+ratio test's and never goes backwards.  REFRESH asks for a reinversion
+at a pivot below TRUSTED_PIVOT on an inverse that is not fresh.
+``dual_pivot`` repairs an optimal basis whose exact values are
+infeasible.
 """
 
 from __future__ import annotations
@@ -31,29 +29,22 @@ import numpy as np
 OPTIMAL, UNBOUNDED, ITERATION_LIMIT, REFRESH = range(4)
 
 SMALL_PIVOT = 1e-2
-AMPLIFICATION_CAP = 1e6
 TRUSTED_PIVOT = 1e-8
-DEGENERATE_STEP = 1e-12
-STALL_LIMIT = 40
 HARRIS_TOL = 1e-12
 SMALL_RELATIVE = 1e-6
 DEVEX_RESET = 1e12
 
 
 def run_simplex(work: np.ndarray, basis: np.ndarray, A: np.ndarray, c: np.ndarray,
-                tol: float, max_iter: int, state: np.ndarray,
-                weights: np.ndarray) -> tuple[int, int]:
+                tol: float, max_iter: int, weights: np.ndarray) -> tuple[int, int]:
     """Pivot ``work`` (for the columns ``basis`` of A, x_B >= 0),
     ``basis`` and the Devex ``weights`` in place until optimal or a
     refresh is due; the caller reinverts between calls, keeping
-    ``state`` and ``weights`` across them.  Returns (status, iterations)."""
+    ``weights`` across them.  Returns (status, iterations)."""
     m = A.shape[0]
-    amplification = 1.0
     d = c + work[m, :m] @ A
     d[basis] = 0.0
     for it in range(max_iter):
-        if amplification > AMPLIFICATION_CAP:
-            return REFRESH, it
         improving = np.flatnonzero(d < -tol)
         if improving.size == 0:
             return OPTIMAL, it
@@ -62,20 +53,17 @@ def run_simplex(work: np.ndarray, basis: np.ndarray, A: np.ndarray, c: np.ndarra
         step = _ratio_test(work, basis, A, d, j, tol)
         if step is None:
             return UNBOUNDED, it
-        if step[3]:
+        if step[2]:
             for k in improving[np.argsort(-score, kind="stable")][1:]:
                 other = _ratio_test(work, basis, A, d, int(k), tol)
-                if other is not None and not other[3]:
+                if other is not None and not other[2]:
                     j, step = int(k), other
                     break
-        col, r, best, _ = step
+        col, r, _ = step
 
         pivot = col[r]
         if pivot < TRUSTED_PIVOT and it > 0:
             return REFRESH, it
-        if pivot < SMALL_PIVOT:
-            amplification *= SMALL_PIVOT / pivot
-        state[0] = state[0] + 1 if best <= DEGENERATE_STEP else 0
         row = work[r, :m] @ A / pivot
         np.maximum(weights, row * row * weights[j], out=weights)
         weights[basis[r]] = max(weights[j] / (pivot * pivot), 1.0)
@@ -90,10 +78,10 @@ def run_simplex(work: np.ndarray, basis: np.ndarray, A: np.ndarray, c: np.ndarra
 
 
 def _ratio_test(work, basis, A, d, j, tol):
-    """Entering column j as [B^-1 a_j ; d_j], its pivot row, the smallest
-    ratio and whether the pivot is narrow (below SMALL_PIVOT and below
-    SMALL_RELATIVE times the column's largest entry); None when no entry
-    of the column is positive."""
+    """Entering column j as [B^-1 a_j ; d_j], its pivot row and whether
+    the pivot is narrow (below SMALL_PIVOT and below SMALL_RELATIVE times
+    the column's largest entry); None when no entry of the column is
+    positive."""
     m = A.shape[0]
     col = work[:, :m] @ A[:, j]
     col[m] = d[j]
@@ -101,13 +89,11 @@ def _ratio_test(work, basis, A, d, j, tol):
     if positive.size == 0:
         return None
     rhs, pivots = np.maximum(work[positive, m], 0.0), col[positive]
-    ratios = rhs / pivots
-    best = ratios.min()
-    ties = positive[ratios <= ((rhs + HARRIS_TOL) / pivots).min()]
+    ties = positive[rhs / pivots <= ((rhs + HARRIS_TOL) / pivots).min()]
     if ties.size > 1:
         ties = ties[col[ties] == col[ties].max()]
     r = int(ties[np.argmin(basis[ties])]) if ties.size > 1 else int(ties[0])
-    return col, r, best, col[r] < SMALL_PIVOT and col[r] < SMALL_RELATIVE * np.abs(col[:m]).max()
+    return col, r, col[r] < SMALL_PIVOT and col[r] < SMALL_RELATIVE * np.abs(col[:m]).max()
 
 
 def dual_pivot(work: np.ndarray, basis: np.ndarray, A: np.ndarray, c: np.ndarray,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 
 import numpy as np
@@ -256,9 +257,19 @@ def main(argv=None) -> int:
     handler = {"channel": cmd_channel, "vuln": cmd_vuln,
                "game": cmd_game, "pwd": cmd_pwd}[args.cmd]
     try:
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()      # a closed reader shows only on a write to the pipe
+        return code
     except (LeakGamesError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered to
+        # devnull, or the flush at exit fails again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout was closed before the output was written", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -33,8 +33,6 @@ KERNEL_NAME = "python"      # reported by perfbench/worker.py's environment reco
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-8
-REFACTOR_EVERY = 64
-PERTURBATION = 1e-11
 TABOO = 1e100
 
 LESS, EQUAL, GREATER = "<=", "=", ">="
@@ -174,37 +172,28 @@ def _refactor(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray,
 
 def _run_phase(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray,
                max_iter: int):
-    """Simplex over all columns of A, reinverting after every REFRESH,
-    every REFACTOR_EVERY pivots and every claim of the kernel.  Returns
-    (status, work, y, iterations); status is a kernel constant.  A claim
-    counts only when made on a fresh inverse.  Once the kernel has
-    counted STALL_LIMIT degenerate pivots in a row, b is perturbed so that each basic value grows by PERTURBATION,
-    relative, until the next optimum; then the true b is restored, and
-    dual pivots repair what it makes infeasible.  A reinversion that
-    fails (singular, or values below -1e-7) sends the phase back to the
-    last basis that reinverted, with the columns that entered since
-    given the Devex weight TABOO, so they are priced last; a second
-    failure in a row raises SolverError.
+    """Simplex over all columns of A, reinverting after every REFRESH and
+    every claim of the kernel.  Returns (status, work, y, iterations);
+    status is a kernel constant.  A claim counts only when made on a
+    fresh inverse; an optimal one whose exact values are infeasible is
+    repaired by dual pivots.  A reinversion that fails (singular, or
+    values below -1e-7) sends the phase back to the last basis that
+    reinverted, with the columns that entered since given the Devex
+    weight TABOO, so they are priced last; a second failure in a row
+    raises SolverError.
     """
-    iterations, target = 0, b
-    state, weights = np.zeros(1, dtype=np.int64), np.ones(A.shape[1])
+    iterations, weights = 0, np.ones(A.shape[1])
     work, y = _refactor(A, b, c, basis)
-    good = basis.copy(), b
+    good = basis.copy()
     while True:
-        budget = min(REFACTOR_EVERY, max_iter - iterations)
+        budget = max_iter - iterations
         if budget <= 0:
             return _kernel_py.ITERATION_LIMIT, work, y, iterations
         x_B = work[:-1, -1].copy()          # the reinverted values, unclipped
         np.clip(x_B, 0.0, None, out=work[:-1, -1])
-        status, its = _kernel.run_simplex(work, basis, A, c, PIVOT_TOL, budget, state, weights)
+        status, its = _kernel.run_simplex(work, basis, A, c, PIVOT_TOL, budget, weights)
         repair = its == 0 and status == _kernel_py.OPTIMAL
-        if state[0] >= _kernel_py.STALL_LIMIT and b is target:
-            state[0] = 0
-            spread = 0.5 + np.arange(len(b)) * 0.618034 % 1 / 2
-            b = b + A[:, basis] @ (PERTURBATION * (1 + np.abs(work[:-1, -1])) * spread)
-        elif repair and b is not target:
-            b = target
-        elif repair:
+        if repair:
             its = int(_kernel_py.dual_pivot(work, basis, A, c, x_B, PIVOT_TOL))
             if its == 0:
                 return status, work, y, iterations
@@ -216,12 +205,12 @@ def _run_phase(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray,
         except SolverError:
             if good is None:
                 raise
-            weights[np.setdiff1d(basis, good[0])] = TABOO
-            basis[:], b = good
+            weights[np.setdiff1d(basis, good)] = TABOO
+            basis[:] = good
             work, y = _refactor(A, b, c, basis)
             good = None
         else:
-            good = basis.copy(), b
+            good = basis.copy()
 
 
 def _standard_form(lp: LinearProgram):

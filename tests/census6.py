@@ -6,7 +6,7 @@ on the uniform prior and on the census priors
 compares each value with the value scipy's HiGHS (1.17.1) gives for the
 same game's epigraph LP, pinned below, within 1e-9.  Prints one line
 per run and exits 1 if any run fails or differs.  On one 2-vCPU Xeon
-core a run takes 40-170 s and peaks near 1 GB.  pytest does not
+core a run takes 20-100 s and peaks near 950 MB.  pytest does not
 collect this file; it has a CI job of its own.
 
 Usage: PYTHONPATH=src python tests/census6.py

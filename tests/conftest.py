@@ -7,6 +7,7 @@ import pytest
 from leakgames.channels import Channel
 from leakgames.games import LeakageGame
 from leakgames.matrix import LabeledMatrix
+from leakgames.simplex import LinearProgram, LPSolution
 from leakgames.vuln import GainFunction, Prior, VulnMeasure
 
 
@@ -85,6 +86,45 @@ def _fit_lp(T: np.ndarray, B: np.ndarray):
     c = np.zeros(k * n + 1)
     c[-1] = 1.0
     return c, a_ub, b_ub, a_eq, np.ones(k)
+
+
+def _moved(B: np.ndarray, x: int, j: int, k: int) -> np.ndarray:
+    """B with 1e-8 of row x moved from column j to column k."""
+    T = B.copy()
+    T[x, j] -= 1e-8
+    T[x, k] += 1e-8
+    return T
+
+
+def _fit_program(T: np.ndarray, B: np.ndarray) -> LinearProgram:
+    """``_fit_lp`` of T from B as one LinearProgram, rows in its order."""
+    c, a_ub, b_ub, a_eq, b_eq = _fit_lp(T, B)
+    return LinearProgram.build(c, np.vstack([a_ub, a_eq]),
+                               ["<="] * len(b_ub) + ["="] * len(b_eq),
+                               np.concatenate([b_ub, b_eq]))
+
+
+def _fit_mismatch(T: np.ndarray, B: np.ndarray, sol: LPSolution) -> str | None:
+    """Why ``sol``, lp_solve's solution of ``_fit_program(T, B)``, is
+    wrong, or None: it must be optimal, feasible to 1e-9, and within
+    1e-9 of HiGHS's objective, plus however far HiGHS's own point
+    violates the LP (its tolerances apply to its internally scaled LP).
+    Where HiGHS gives up (about one fit in 3000), there is no reference."""
+    from scipy.optimize import linprog
+
+    if not sol.optimal:
+        return f"status {sol.status}"
+    if sol.max_residual > 1e-9:
+        return f"residual {sol.max_residual:.3g}"
+    c, a_ub, b_ub, a_eq, b_eq = _fit_lp(T, B)
+    ref = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
+                  method="highs", options=HIGHS_TIGHT)
+    if ref.status == 0:
+        ref_violation = max(0.0, -ref.x.min(), (a_ub @ ref.x - b_ub).max(),
+                            np.abs(a_eq @ ref.x - b_eq).max())
+        if abs(sol.objective - ref.fun) > 1e-9 + ref_violation:
+            return f"objective {sol.objective!r}, HiGHS {ref.fun!r}"
+    return None
 
 
 def _highs_fit(T: np.ndarray, B: np.ndarray, lower: np.ndarray, total: float):

@@ -425,6 +425,22 @@ print(sorted(m for m in ("scipy", "hypothesis") if m in sys.modules))
     assert done.stdout == "[]\n"
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_ends_in_one_error_line(unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+    try:
+        done = subprocess.run([sys.executable, "-m", "leakgames.cli", "pwd", "analyze",
+                               "--bits", "2"], stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+
+
 def test_pwd_gen_round_trip(capsys, tmp_path):
     out_path = tmp_path / "g.json"
     code, _, _ = run(capsys, "pwd", "gen", "--bits", "2", "--prior", "uniform",

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import HIGHS_TIGHT, _fit_lp
+from conftest import HIGHS_TIGHT, _fit_mismatch, _fit_program, _moved
 import leakgames.simplex as simplex
 from leakgames import _kernel_py
 from leakgames.errors import SolverError
@@ -240,6 +240,13 @@ def test_singular_basis_raises_solver_error():
 # solve for all columns.  It fails on some near-degenerate LPs (it raises
 # SolverError or LinAlgError), so it is compared only where it returns.
 # The second reference is scipy's HiGHS, which decides every status.
+# The reference keeps the stall and reinversion rules it was written with.
+
+AMPLIFICATION_CAP = 1e6
+STALL_LIMIT = 40
+DEGENERATE_STEP = 1e-12
+REFACTOR_EVERY = 64
+
 
 def _tableau_refactor(A, b, c, basis):
     m = A.shape[0]
@@ -272,9 +279,9 @@ def _tableau_run_simplex(tableau, basis, tol, max_iter, state):
     m, n = tableau.shape[0] - 1, tableau.shape[1] - 1
     obj, amplification = tableau[m], 1.0
     for it in range(max_iter):
-        if amplification > k.AMPLIFICATION_CAP:
+        if amplification > AMPLIFICATION_CAP:
             return k.REFRESH, it
-        if state[0] >= k.STALL_LIMIT:
+        if state[0] >= STALL_LIMIT:
             negative = np.nonzero(obj[:n] < -tol)[0]
             if negative.size == 0:
                 return k.OPTIMAL, it
@@ -290,7 +297,7 @@ def _tableau_run_simplex(tableau, basis, tol, max_iter, state):
         ratios = np.maximum(rhs[positive] / col[positive], 0.0)
         best = ratios.min()
         ties = positive[ratios == best]
-        if state[0] < k.STALL_LIMIT:
+        if state[0] < STALL_LIMIT:
             ties = ties[col[ties] == col[ties].max()]
         r = int(ties[np.argmin(basis[ties])])
         pivot = tableau[r, j]
@@ -298,7 +305,7 @@ def _tableau_run_simplex(tableau, basis, tol, max_iter, state):
             return k.REFRESH, it
         if pivot < k.SMALL_PIVOT:
             amplification *= k.SMALL_PIVOT / pivot
-        state[0] = state[0] + 1 if best <= k.DEGENERATE_STEP else 0
+        state[0] = state[0] + 1 if best <= DEGENERATE_STEP else 0
         _tableau_pivot(tableau, basis, r, j)
     return k.ITERATION_LIMIT, max_iter
 
@@ -307,7 +314,7 @@ def _tableau_run_phase(A, b, c, basis, max_iter):
     iterations, state = 0, np.zeros(1, dtype=np.int64)
     tableau, y = _tableau_refactor(A, b, c, basis)
     while True:
-        budget = min(simplex.REFACTOR_EVERY, max_iter - iterations)
+        budget = min(REFACTOR_EVERY, max_iter - iterations)
         if budget <= 0:
             return _kernel_py.ITERATION_LIMIT, tableau, y, iterations
         status, its = _tableau_run_simplex(tableau, basis, simplex.PIVOT_TOL, budget, state)
@@ -675,32 +682,23 @@ def test_failed_reinversion_goes_back_to_the_last_good_basis(monkeypatch):
 # --- near-degenerate L-infinity fit LPs ------------------------------------
 
 def _assert_fit_matches_highs(T, B):
-    """lp_solve's fit of T from B: optimal, feasible to 1e-9, and within
-    1e-9 of HiGHS's objective, plus however far HiGHS's own point
-    violates the LP (its tolerances apply to its internally scaled LP).
-    Where HiGHS gives up (about one fit in 3000), there is no reference."""
-    from scipy.optimize import linprog
-
-    c, a_ub, b_ub, a_eq, b_eq = _fit_lp(T, B)
-    rows = [(r, "<=", v) for r, v in zip(a_ub, b_ub)] + [(r, "=", v) for r, v in zip(a_eq, b_eq)]
-    s = lp_solve(lp(c, rows))
-    assert s.optimal
-    assert s.max_residual <= 1e-9
-    ref = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
-                  method="highs", options=HIGHS_TIGHT)
-    if ref.status == 0:
-        ref_violation = max(0.0, -ref.x.min(), (a_ub @ ref.x - b_ub).max(),
-                            np.abs(a_eq @ ref.x - b_eq).max())
-        assert abs(s.objective - ref.fun) <= 1e-9 + ref_violation
+    mismatch = _fit_mismatch(T, B, lp_solve(_fit_program(T, B)))
+    assert mismatch is None, mismatch
 
 
 def test_near_degenerate_fit_lp():
-    # the dense-tableau simplex raised "phase 1 reported unbounded" here
+    # the dense-tableau simplex raised "phase 1 reported unbounded" on the
+    # first; fitting B from T in the other two lost primal feasibility
+    # (rhs -168 and -180) when a cap on the amplification from small
+    # pivots forced a reinversion
     pytest.importorskip("scipy")
-    T = np.array([[0.8 - 1e-8, 0.2 + 1e-8], [0.8, 0.2]])
-    B = np.array([[0.8, 0.2], [0.8, 0.2]])
-    _assert_fit_matches_highs(T, B)
-    _assert_fit_matches_highs(B, T)
+    for row, x, j, k in [([0.8, 0.2], 0, 0, 1),
+                         ([3 / 7, 3 / 7, 1 / 7], 1, 1, 2),
+                         ([4 / 15, 2 / 15, 7 / 15, 2 / 15], 0, 0, 2)]:
+        B = np.array([row, row])
+        T = _moved(B, x, j, k)
+        _assert_fit_matches_highs(T, B)
+        _assert_fit_matches_highs(B, T)
 
 
 @st.composite
@@ -717,16 +715,13 @@ def perturbed_channels(draw):
     x = draw(st.integers(0, n_x - 1))
     j = draw(st.sampled_from([j for j in range(n_y) if B[x, j] >= 1e-8]))
     k = draw(st.sampled_from([k for k in range(n_y) if k != j]))
-    T = B.copy()
-    T[x, j] -= 1e-8
-    T[x, k] += 1e-8
-    return T, B
+    return _moved(B, x, j, k), B
 
 
 @settings(max_examples=300, deadline=None)
 @given(perturbed_channels())
 def test_near_degenerate_fit_lps_are_solved_or_refused(pair):
-    # About one fit in a thousand still ends in a singular or infeasible
+    # About one fit in 3000 still ends in a singular or infeasible
     # reinversion: lp_solve must then raise, never return a wrong answer.
     pytest.importorskip("scipy")
     T, B = pair
