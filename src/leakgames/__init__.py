@@ -29,7 +29,6 @@ from .minimax import (
 )
 from .simplex import LinearProgram, LPSolution, lp_solve
 from .vuln import (
-    GainFunction,
     Prior,
     VulnMeasure,
     leakage,
@@ -49,6 +48,6 @@ __all__ = [
     "LabeledMatrix", "concat", "matrix_sum", "scalar_mul",
     "LinearProgram", "LPSolution", "closed_form_2x2", "fictitious_play",
     "lp_solve", "solve_convex_linear_game", "solve_matrix_game",
-    "GainFunction", "Prior", "VulnMeasure", "leakage",
+    "Prior", "VulnMeasure", "leakage",
     "posterior_vuln", "posterior_vuln_mc", "prior_vuln",
 ]

@@ -122,10 +122,6 @@ class LeakageGame:
                 raise ValueError(f"a leakage game needs at least one {role}")
             if any(label_key(x) >= label_key(y) for x, y in zip(labels, labels[1:])):
                 raise DuplicateIndex(f"{role} labels {list(labels)} repeat or are out of order")
-        if measure.is_custom:
-            raise TypeError("a leakage game needs a gain-based measure; custom "
-                            "convex evaluators serve measurement only")
-        measure.check_secrets(prior.labels)
         self.defenders, self.attackers, self.observables = defenders, attackers, observables
         self.secrets, self.prior, self.measure = prior.labels, prior, measure
         self.tensor, self.declared, self.gain = tensor, declared, measure.gain_matrix(prior.labels)

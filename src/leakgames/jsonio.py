@@ -1,4 +1,4 @@
-"""JSON formats for matrices, channels, priors, gain functions, games.
+"""JSON formats for matrices, channels, priors, measures, games.
 
 Labels are rendered as strings ("inner@tag" for tagged labels, with
 "@", "(", ")", "|" and backslash escaped inside atoms).  Matrix data is
@@ -25,7 +25,7 @@ from .errors import LeakGamesError
 from .games import LeakageGame
 from .labels import format_label, parse_label, parse_label_pair
 from .matrix import LabeledMatrix
-from .vuln import GainFunction, Prior, VulnMeasure
+from .vuln import Prior, VulnMeasure
 
 
 class FormatError(LeakGamesError):
@@ -85,40 +85,31 @@ def dist_from_json(obj: dict) -> IndexDistribution:
     return IndexDistribution({parse_label(k): v for k, v in obj["weights"].items()})
 
 
-def gain_to_json(g: GainFunction) -> dict:
-    return {
-        "guesses": [format_label(w) for w in g.guesses],
-        "secrets": [format_label(x) for x in g.secrets],
-        "gain": [[float(v) for v in row] for row in g.gain],
-    }
-
-
-@_reader("gain")
-def gain_from_json(obj: dict, secrets=None) -> GainFunction:
-    guesses = [parse_label(w) for w in obj["guesses"]]
-    if "secrets" in obj:
-        secs = [parse_label(x) for x in obj["secrets"]]
-    elif secrets is not None:
-        secs = list(secrets)
-    else:
-        raise FormatError("gain JSON lacks 'secrets' and no context is available")
-    return GainFunction.build(guesses, secs, obj["gain"])
-
-
 def measure_to_json(m: VulnMeasure) -> dict:
     if m.is_bayes:
         return {"variant": "bayes"}
-    return {"variant": "gain", **gain_to_json(m.gain_fn)}
+    return {
+        "variant": "gain",
+        "guesses": [format_label(w) for w in m.guesses],
+        "secrets": [format_label(x) for x in m.secrets],
+        "gain": [[float(v) for v in row] for row in m.gain],
+    }
 
 
 @_reader("measure")
 def measure_from_json(obj: dict, secrets=None) -> VulnMeasure:
+    """A gain measure without "secrets" takes the context's ``secrets``."""
     variant = obj.get("variant")
     if variant == "bayes":
         return VulnMeasure.bayes()
-    if variant == "gain":
-        return VulnMeasure.from_gain(gain_from_json(obj, secrets))
-    raise FormatError(f"unknown measure variant {variant!r}")
+    if variant != "gain":
+        raise FormatError(f"unknown measure variant {variant!r}")
+    guesses = [parse_label(w) for w in obj["guesses"]]
+    if "secrets" in obj:
+        secrets = [parse_label(x) for x in obj["secrets"]]
+    elif secrets is None:
+        raise FormatError("gain measure JSON lacks 'secrets' and no context is available")
+    return VulnMeasure.from_gain(guesses, secrets, obj["gain"])
 
 
 def game_to_json(g: LeakageGame) -> dict:

@@ -83,8 +83,7 @@ def closed_form_2x2(payoff):
     """Completely mixed saddle point of a 2x2 game, if the formula applies.
 
     Returns (value, delta(row0), alpha(col0)) when the denominator is
-    nonzero and both strategy values land in [0, 1]; None otherwise
-    (caller falls back to the LP).
+    nonzero and both strategy values land in [0, 1]; None otherwise.
     """
     u = _payoff_array(payoff)
     if u.shape != (2, 2):

@@ -27,9 +27,9 @@ import numpy as np
 
 from .channels import Channel
 from .errors import BadPermutation, TooLarge
-from .games import LeakageGame, hidden_mixture_value, solve
+from .games import LeakageGame, solve
 from .matrix import LabeledMatrix
-from .vuln import Prior, VulnMeasure
+from .vuln import Prior, VulnMeasure, stacked_posterior_vuln
 
 MAX_BITS_DEFAULT = 5
 
@@ -184,9 +184,8 @@ def verify_uniform_equilibrium(n: int, payoff_tol: float = 1e-9,
     it, and the hidden simultaneous game's LP value equals that payoff."""
     game = build_game(n, Prior.uniform(secret_labels(n)), VulnMeasure.bayes(),
                       max_bits=max_bits)
-    delta = np.full(len(game.defenders), 1.0 / len(game.defenders))
-    payoffs = {a: hidden_mixture_value(game, a, delta) for a in game.attackers}
-    vals = np.array(list(payoffs.values()))
+    vals = stacked_posterior_vuln(game.gain, game.prior.weights, game.tensor.mean(axis=0))
+    payoffs = dict(zip(game.attackers, vals.tolist()))
     spread = float(vals.max() - vals.min())
     lp_value = solve(game, "IV").value
     gap = abs(lp_value - float(vals.max()))

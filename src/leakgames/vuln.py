@@ -1,10 +1,10 @@
 """Prior and posterior g-vulnerability, the payoff primitive of every game.
 
-Vulnerability is the adversary's maximum expected gain.  A gain
-function assigns g(w, x) to guessing w when the secret is x; Bayes
-vulnerability is g-vulnerability under the identity gain, where the
-guesses are the secrets themselves and the gain is 1 exactly on a
-correct guess.  Both go through one gain-matrix product.
+Vulnerability is the adversary's maximum expected gain.  A measure is
+Bayes or a finite gain matrix g(w, x), the gain of guessing w when the
+secret is x.  Bayes vulnerability is g-vulnerability under the identity
+gain, where the guesses are the secrets themselves and the gain is 1
+exactly on a correct guess, so both go through one gain-matrix product.
 
 Posterior vulnerability is computed column-wise on the joint matrix,
 
@@ -19,8 +19,6 @@ explicit seed.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,16 +67,27 @@ class Prior:
         return self.weights[[index[x] for x in labels]]
 
 
-@dataclass(frozen=True)
-class GainFunction:
-    """Finite gain matrix over guesses x secrets."""
+class VulnMeasure:
+    """Bayes vulnerability, or g-vulnerability under a finite gain matrix.
 
-    guesses: tuple
-    secrets: tuple
-    gain: np.ndarray  # |W| x |X|
+    A gain measure holds its guess labels, its secret labels and a
+    read-only gain[w, x].  A Bayes measure holds none of them (``gain``
+    is None): over any secret set it is the identity gain, guessing the
+    secrets themselves.  Every vulnerability is computed through
+    ``gain_matrix``.
+    """
+
+    __slots__ = ("guesses", "secrets", "gain")
+
+    def __init__(self, guesses=None, secrets=None, gain=None):
+        self.guesses, self.secrets, self.gain = guesses, secrets, gain
 
     @staticmethod
-    def build(guesses, secrets, gain) -> "GainFunction":
+    def bayes() -> "VulnMeasure":
+        return VulnMeasure()
+
+    @staticmethod
+    def from_gain(guesses, secrets, gain) -> "VulnMeasure":
         guesses = tuple(guesses)
         secrets = tuple(secrets)
         for role, labels in (("guess", guesses), ("secret", secrets)):
@@ -90,97 +99,27 @@ class GainFunction:
         if not np.isfinite(g).all():
             raise ValueError("gain entries must be finite")
         g.setflags(write=False)
-        return GainFunction(guesses, secrets, g)
+        return VulnMeasure(guesses, secrets, g)
 
-    @staticmethod
-    def identity(secrets) -> "GainFunction":
-        secrets = tuple(secrets)
-        return GainFunction.build(secrets, secrets, np.eye(len(secrets)))
+    @property
+    def is_bayes(self) -> bool:
+        return self.gain is None
 
-    def aligned(self, secrets) -> np.ndarray:
+    def guesses_for(self, secrets):
+        return tuple(secrets) if self.is_bayes else self.guesses
+
+    def gain_matrix(self, secrets) -> np.ndarray:
+        """Gain aligned to the given secret order, guesses as rows."""
+        if self.is_bayes:
+            return np.eye(len(tuple(secrets)))
         if set(secrets) != set(self.secrets):
-            raise LabelMismatch("gain function secrets do not match")
+            raise LabelMismatch("measure secrets do not match")
         index = {x: i for i, x in enumerate(self.secrets)}
         return self.gain[:, [index[x] for x in secrets]]
 
 
-class VulnMeasure:
-    """Bayes vulnerability, a gain-based one, or a custom convex evaluator.
-
-    Bayes over a secret set is the gain-based measure with the identity
-    gain, and every vulnerability is computed through that matrix; the
-    variant records which of the two a file names.
-
-    The custom variant carries an arbitrary convex function of the
-    posterior distribution (in sorted secret-label order).  It serves
-    measurement only: a leakage game needs the piecewise-linear
-    max-of-gains shape, so ``LeakageGame`` refuses it with TypeError.
-    """
-
-    __slots__ = ("variant", "gain_fn", "evaluator")
-
-    def __init__(self, variant: str, gain_fn: GainFunction | None = None,
-                 evaluator=None):
-        if variant not in ("bayes", "gain", "custom"):
-            raise ValueError(f"unknown variant {variant!r}")
-        if variant == "gain" and gain_fn is None:
-            raise ValueError("gain variant needs a GainFunction")
-        if variant == "custom" and evaluator is None:
-            raise ValueError("custom variant needs an evaluator")
-        self.variant = variant
-        self.gain_fn = gain_fn
-        self.evaluator = evaluator
-
-    @staticmethod
-    def bayes() -> "VulnMeasure":
-        return VulnMeasure("bayes")
-
-    @staticmethod
-    def from_gain(gain_fn: GainFunction) -> "VulnMeasure":
-        return VulnMeasure("gain", gain_fn)
-
-    @staticmethod
-    def from_evaluator(fn) -> "VulnMeasure":
-        """Wrap a convex function distribution-vector -> real.
-
-        Convexity is the caller's responsibility; it is what makes the
-        posterior aggregation meaningful.
-        """
-        return VulnMeasure("custom", evaluator=fn)
-
-    @property
-    def is_bayes(self) -> bool:
-        return self.variant == "bayes"
-
-    @property
-    def is_custom(self) -> bool:
-        return self.variant == "custom"
-
-    def guesses_for(self, secrets):
-        if self.is_custom:
-            raise TypeError("a custom evaluator has no guess set")
-        return tuple(secrets) if self.is_bayes else self.gain_fn.guesses
-
-    def gain_matrix(self, secrets) -> np.ndarray:
-        """Gain aligned to the given secret order, guesses as rows."""
-        if self.is_custom:
-            raise TypeError(
-                "custom convex evaluators cannot be used by the LP solvers; "
-                "use a finite gain function instead")
-        if self.is_bayes:
-            return np.eye(len(tuple(secrets)))
-        return self.gain_fn.aligned(secrets)
-
-    def check_secrets(self, secrets):
-        if self.variant == "gain" and set(self.gain_fn.secrets) != set(secrets):
-            raise LabelMismatch("measure secrets do not match")
-
-
 def prior_vuln(measure: VulnMeasure, prior: Prior) -> float:
     """Adversarial value of the secret before any observation."""
-    measure.check_secrets(prior.labels)
-    if measure.is_custom:
-        return float(measure.evaluator(prior.weights))
     scores = measure.gain_matrix(prior.labels) @ prior.weights
     return float(scores.max())
 
@@ -193,34 +132,18 @@ def stacked_posterior_vuln(gain: np.ndarray, pi: np.ndarray, channels: np.ndarra
 
 def posterior_vuln(measure: VulnMeasure, prior: Prior, channel: Channel) -> float:
     """Expected adversarial value after observing the channel output."""
-    measure.check_secrets(channel.secrets)
+    gain = measure.gain_matrix(channel.secrets)
     pi = prior.aligned(channel.secrets)
-    if measure.is_custom:
-        joint = pi[:, None] * channel.data
-        order = sorted(range(len(channel.secrets)),
-                       key=lambda i: label_key(channel.secrets[i]))
-        total = 0.0
-        for j in range(joint.shape[1]):
-            mass = joint[:, j].sum()
-            if mass > 0.0:
-                total += mass * float(measure.evaluator(joint[order, j] / mass))
-        return total
-    return float(stacked_posterior_vuln(measure.gain_matrix(channel.secrets), pi, channel.data))
+    return float(stacked_posterior_vuln(gain, pi, channel.data))
 
 
 def best_guesses(measure: VulnMeasure, prior: Prior, channel: Channel):
     """Per-observable optimal guess, ties broken by lowest guess label."""
     pi = prior.aligned(channel.secrets)
-    joint = pi[:, None] * channel.data
-    scores = measure.gain_matrix(channel.secrets) @ joint
     guesses = measure.guesses_for(channel.secrets)
     order = sorted(range(len(guesses)), key=lambda i: label_key(guesses[i]))
-    out = {}
-    for j, y in enumerate(channel.observables):
-        col = scores[:, j]
-        best = max(col[i] for i in order)
-        out[y] = next(guesses[i] for i in order if col[i] == best)
-    return out
+    scores = (measure.gain_matrix(channel.secrets) @ (pi[:, None] * channel.data))[order]
+    return {y: guesses[order[i]] for y, i in zip(channel.observables, scores.argmax(axis=0))}
 
 
 def posterior_vuln_mc(measure: VulnMeasure, prior: Prior, channel: Channel,

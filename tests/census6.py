@@ -5,8 +5,9 @@ on the uniform prior and on the census priors
 ``numpy.random.default_rng(s).dirichlet(ones(64))``, s = 0..3, and
 compares each value with the value scipy's HiGHS (1.17.1) gives for the
 same game's epigraph LP, pinned below, within 1e-9.  Prints one line
-per run and exits 1 if any run fails or differs.  On one 2-vCPU Xeon
-core a run takes 20-100 s and peaks near 950 MB.  pytest does not
+per run, with that run's own peak RSS, and exits 1 if any run fails or
+differs.  On one 2-vCPU Xeon core a run takes 20-125 s; the uniform run
+peaks near 880 MB and each Dirichlet run near 945 MB.  pytest does not
 collect this file; it has a CI job of its own.
 
 Usage: PYTHONPATH=src python tests/census6.py
@@ -15,7 +16,7 @@ Usage: PYTHONPATH=src python tests/census6.py
 from __future__ import annotations
 
 import json
-import resource
+import os
 import subprocess
 import sys
 import tempfile
@@ -36,6 +37,25 @@ HIGHS = {
 TOL = 1e-9
 
 
+def run_case(prior: str):
+    """Run one census case in a child process.  Returns its exit code,
+    stdout, stderr, wall seconds and its own peak RSS in MB, read from
+    ``wait4`` (``RUSAGE_CHILDREN`` would keep the largest child so far)."""
+    with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
+        start = time.perf_counter()
+        child = subprocess.Popen(
+            [sys.executable, "-m", "leakgames.cli", "pwd", "analyze",
+             "--bits", "6", "--max-bits", "6", "--prior", prior],
+            stdout=out, stderr=err)
+        _, status, usage = os.wait4(child.pid, 0)
+        seconds = time.perf_counter() - start
+        # wait4 reaped the child; tell Popen, or it would try again
+        child.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        return child.returncode, out.read(), err.read(), seconds, usage.ru_maxrss / 1024
+
+
 def main() -> int:
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -46,24 +66,18 @@ def main() -> int:
                 prior = str(Path(tmp) / f"census{case}.json")
                 Path(prior).write_text(json.dumps(
                     {"weights": dict(zip(secret_labels(6), weights.tolist()))}))
-            start = time.perf_counter()
-            done = subprocess.run(
-                [sys.executable, "-m", "leakgames.cli", "pwd", "analyze",
-                 "--bits", "6", "--max-bits", "6", "--prior", prior],
-                capture_output=True, text=True)
-            seconds = time.perf_counter() - start
-            peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
-            if done.returncode != 0:
+            code, stdout, stderr, seconds, peak = run_case(prior)
+            if code != 0:
                 failed += 1
-                print(f"{case}: exit {done.returncode} after {seconds:.0f} s: "
-                      f"{done.stderr.strip()}")
+                print(f"{case}: exit {code} after {seconds:.0f} s, "
+                      f"peak RSS {peak:.0f} MB: {stderr.strip()}")
                 continue
-            value = json.loads(done.stdout)["value"]
+            value = json.loads(stdout)["value"]
             ok = abs(value - reference) <= TOL
             failed += not ok
             print(f"{case}: value {value!r}, HiGHS {reference!r}, "
                   f"{'ok' if ok else 'DIFFERS'}, {seconds:.0f} s, "
-                  f"peak RSS of the runs so far {peak:.0f} MB", flush=True)
+                  f"peak RSS {peak:.0f} MB", flush=True)
     return 1 if failed else 0
 
 

@@ -8,7 +8,7 @@ from leakgames.channels import Channel
 from leakgames.games import LeakageGame
 from leakgames.matrix import LabeledMatrix
 from leakgames.simplex import LinearProgram, LPSolution
-from leakgames.vuln import GainFunction, Prior, VulnMeasure
+from leakgames.vuln import Prior, VulnMeasure
 
 
 def channel(rows, cols, data) -> Channel:
@@ -64,8 +64,7 @@ def random_measure(rng, secrets) -> VulnMeasure:
     if rng.random() < 0.5:
         return VulnMeasure.bayes()
     gain = rng.uniform(0.0, 2.0, size=(3, len(secrets)))
-    return VulnMeasure.from_gain(
-        GainFunction.build(("w1", "w2", "w3"), tuple(secrets), gain))
+    return VulnMeasure.from_gain(("w1", "w2", "w3"), tuple(secrets), gain)
 
 
 HIGHS_TIGHT = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}

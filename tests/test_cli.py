@@ -377,6 +377,23 @@ def test_vuln_with_an_all_zero_gain_has_no_multiplicative_leakage(capsys, tmp_pa
     assert report["prior_vulnerability"] == report["additive_leakage"] == 0.0
 
 
+def test_vuln_gain_file_may_list_its_secrets_in_any_order(capsys, tmp_path, mix_files):
+    prior = tmp_path / "prior.json"
+    prior.write_text(json.dumps({"weights": {"x1": 0.3, "x2": 0.7}}))
+    gain = {"variant": "gain", "guesses": ["w1", "w2"], "gain": [[1.0, 0.25], [0.1, 0.6]]}
+    listed = {**gain, "secrets": ["x2", "x1"], "gain": [[0.25, 1.0], [0.6, 0.1]]}
+    reports = []
+    for name, obj in [("context", gain), ("reversed", listed)]:
+        measure = tmp_path / f"{name}.json"
+        measure.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "vuln", "--prior", str(prior), "--channel",
+                             mix_files["c1"], "--measure", str(measure))
+        assert code == 0 and err == "", err
+        reports.append(out)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["prior_vulnerability"] == pytest.approx(0.475)
+
+
 def test_vuln_rejects_a_prior_far_from_unit_sum(capsys, tmp_path, mix_files):
     prior = tmp_path / "prior.json"
     prior.write_text(json.dumps({"weights": {"x1": 0.4, "x2": 0.5}}))

@@ -8,7 +8,7 @@ from leakgames.errors import TypeMismatch
 from leakgames.games import LeakageGame, solve
 from leakgames.labels import tag
 from leakgames.matrix import LabeledMatrix
-from leakgames.vuln import GainFunction, Prior, VulnMeasure
+from leakgames.vuln import Prior, VulnMeasure
 
 
 def test_matrix_round_trip(tmp_path):
@@ -46,20 +46,19 @@ def test_prior_and_measure_round_trip(tmp_path):
     obj = jsonio.prior_to_json(p)
     assert jsonio.prior_from_json(obj).weights.tolist() == p.weights.tolist()
 
-    g = GainFunction.build(("w1", "w2"), ("a", "b"), [[1.0, 0.0], [0.2, 0.9]])
-    m = VulnMeasure.from_gain(g)
+    m = VulnMeasure.from_gain(("w1", "w2"), ("a", "b"), [[1.0, 0.0], [0.2, 0.9]])
     back = jsonio.measure_from_json(jsonio.measure_to_json(m))
-    assert back.gain_fn.guesses == g.guesses
-    assert np.array_equal(back.gain_fn.gain, g.gain)
+    assert back.guesses == m.guesses
+    assert np.array_equal(back.gain, m.gain)
     assert jsonio.measure_from_json({"variant": "bayes"}).is_bayes
 
 
 def test_gain_without_secrets_uses_context():
-    obj = {"guesses": ["w"], "gain": [[1.0, 2.0]]}
-    g = jsonio.gain_from_json(obj, secrets=("a", "b"))
-    assert g.secrets == ("a", "b")
+    obj = {"variant": "gain", "guesses": ["w"], "gain": [[1.0, 2.0]]}
+    m = jsonio.measure_from_json(obj, secrets=("a", "b"))
+    assert m.secrets == ("a", "b")
     with pytest.raises(jsonio.FormatError):
-        jsonio.gain_from_json(obj)
+        jsonio.measure_from_json(obj)
 
 
 def test_game_round_trip(tmp_path):
@@ -126,7 +125,7 @@ def test_game_channel_key_must_be_a_pair():
 @pytest.mark.parametrize("reader, kind", [
     (jsonio.matrix_from_json, "matrix"), (jsonio.channel_from_json, "matrix"),
     (jsonio.prior_from_json, "prior"), (jsonio.dist_from_json, "distribution"),
-    (jsonio.gain_from_json, "gain"), (jsonio.measure_from_json, "measure"),
+    (jsonio.measure_from_json, "measure"),
     (jsonio.game_from_json, "game"),
 ])
 @pytest.mark.parametrize("obj", [[], "x"])

@@ -7,7 +7,6 @@ from conftest import channel, random_channel, random_prior
 from leakgames.channels import IndexDistribution, hidden_choice, visible_choice
 from leakgames.errors import DuplicateIndex, LabelMismatch
 from leakgames.vuln import (
-    GainFunction,
     Prior,
     VulnMeasure,
     best_guesses,
@@ -51,7 +50,7 @@ def test_prior_point_mass():
 def test_bayes_equals_identity_gain():
     rng = np.random.default_rng(0)
     secrets = ("x1", "x2", "x3", "x4")
-    ident = VulnMeasure.from_gain(GainFunction.identity(secrets))
+    ident = VulnMeasure.from_gain(secrets, secrets, np.eye(len(secrets)))
     for _ in range(50):
         pi = random_prior(rng, secrets)
         ch = random_channel(rng, secrets, ("y1", "y2", "y3"))
@@ -61,6 +60,21 @@ def test_bayes_equals_identity_gain():
         assert prior_vuln(BAYES, pi) == prior_vuln(ident, pi) == pi.weights.max()
         assert posterior_vuln(BAYES, pi, ch) == posterior_vuln(ident, pi, ch) \
             == joint.max(axis=0).sum()
+
+
+def test_gain_measure_secrets_in_another_order():
+    rng = np.random.default_rng(7)
+    secrets = ("x1", "x2", "x3", "x4")
+    guesses = ("w1", "w2", "w3")
+    for _ in range(30):
+        gain = rng.uniform(0.0, 2.0, size=(len(guesses), len(secrets)))
+        listed = VulnMeasure.from_gain(guesses, secrets, gain)
+        reversed_ = VulnMeasure.from_gain(guesses, secrets[::-1], gain[:, ::-1])
+        pi = random_prior(rng, secrets)
+        ch = random_channel(rng, secrets, ("y1", "y2", "y3"))
+        assert prior_vuln(reversed_, pi) == prior_vuln(listed, pi)
+        assert posterior_vuln(reversed_, pi, ch) == posterior_vuln(listed, pi, ch)
+        assert best_guesses(reversed_, pi, ch) == best_guesses(listed, pi, ch)
 
 
 def test_posterior_demo_table():
@@ -99,15 +113,15 @@ def test_non_finite_prior_rejected():
 def test_non_finite_gain_rejected():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
-            GainFunction.build(("w",), ("a", "b"), [[1.0, bad]])
+            VulnMeasure.from_gain(("w",), ("a", "b"), [[1.0, bad]])
 
 
 def test_repeated_gain_labels_rejected():
     # a repeated secret used to drop the first column's gain 5.0 silently
     with pytest.raises(DuplicateIndex, match="secret"):
-        GainFunction.build(("w",), ("a", "a", "b"), [[5.0, 0.0, 1.0]])
+        VulnMeasure.from_gain(("w",), ("a", "a", "b"), [[5.0, 0.0, 1.0]])
     with pytest.raises(DuplicateIndex, match="guess"):
-        GainFunction.build(("w", "w"), ("a", "b"), [[1.0, 0.0], [0.0, 1.0]])
+        VulnMeasure.from_gain(("w", "w"), ("a", "b"), [[1.0, 0.0], [0.0, 1.0]])
 
 
 def test_label_mismatch():
@@ -115,6 +129,9 @@ def test_label_mismatch():
     ch = channel("01", "01", [[1, 0], [0, 1]])
     with pytest.raises(LabelMismatch):
         posterior_vuln(BAYES, pi, ch)
+    other = VulnMeasure.from_gain(("w",), ("a", "c"), [[1.0, 0.0]])
+    with pytest.raises(LabelMismatch, match="measure secrets"):
+        prior_vuln(other, pi)
 
 
 def test_first_bit_leakage():
@@ -140,8 +157,7 @@ def test_multiplicative_leakage_pihat():
 
 
 def test_zero_prior_vuln_division():
-    zero_gain = VulnMeasure.from_gain(
-        GainFunction.build(("w",), ("a", "b"), [[0.0, 0.0]]))
+    zero_gain = VulnMeasure.from_gain(("w",), ("a", "b"), [[0.0, 0.0]])
     pi = Prior.uniform(("a", "b"))
     ch = channel("ab", "01", [[1, 0], [0, 1]])
     with pytest.raises(ZeroDivisionError):
@@ -152,6 +168,9 @@ def test_best_guesses_tie_break():
     pi = Prior.uniform(("a", "b"))
     flat = channel("ab", ("y",), [[1.0], [1.0]])
     assert best_guesses(BAYES, pi, flat) == {"y": "a"}
+    # guesses listed out of label order still tie to the lowest label
+    listed = VulnMeasure.from_gain(("w2", "w1"), ("a", "b"), [[1.0, 0.0], [0.0, 1.0]])
+    assert best_guesses(listed, pi, flat) == {"y": "w1"}
 
 
 def test_mc_perfect_channel():
@@ -229,27 +248,6 @@ def test_posterior_convex_in_prior():
         lhs = posterior_vuln(BAYES, blend, ch)
         rhs = t * posterior_vuln(BAYES, p1, ch) + (1 - t) * posterior_vuln(BAYES, p2, ch)
         assert lhs <= rhs + 1e-9
-
-
-def test_custom_evaluator_extension_point():
-    rng = np.random.default_rng(12)
-    secrets = ("x1", "x2", "x3")
-    as_max = VulnMeasure.from_evaluator(lambda v: float(np.max(v)))
-    for _ in range(30):
-        pi = random_prior(rng, secrets)
-        ch = random_channel(rng, secrets, ("y1", "y2"))
-        assert prior_vuln(as_max, pi) == pytest.approx(prior_vuln(BAYES, pi), abs=1e-12)
-        assert posterior_vuln(as_max, pi, ch) == pytest.approx(
-            posterior_vuln(BAYES, pi, ch), abs=1e-12)
-
-
-def test_custom_evaluator_rejected_by_solvers():
-    from leakgames.games import LeakageGame
-    as_max = VulnMeasure.from_evaluator(lambda v: float(np.max(v)))
-    ch = channel("ab", "01", [[1, 0], [0, 1]])
-    # measurement only: a game with a custom evaluator is refused when built
-    with pytest.raises(TypeError, match="measurement only"):
-        LeakageGame(("d",), ("a",), {("d", "a"): ch}, Prior.uniform("ab"), as_max)
 
 
 def test_posterior_at_least_prior_for_bayes():
