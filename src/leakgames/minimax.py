@@ -33,8 +33,13 @@ that duplicates an earlier one or is componentwise dominated by another
 (exact, since delta >= 0).  Then the LP is solved, or its dual when
 that has fewer rows (``LinearProgram.dual_solution`` reads the
 epigraph LP's solution back off it), and delta is the epigraph LP's
-primal and alpha minus the duals of its per-a rows.  The uniqueness
-probes always use the full, unpruned LP and its dual.
+primal and alpha minus the duals of its per-a rows.  Either LP has a
+feasible basis at a pure strategy, and the solve starts there, with no
+phase 1: ``convex_game_start`` puts delta on the pure d with the
+smallest worst branch, and ``convex_game_attacker_start`` puts alpha on
+the branch a whose pieces, one per group, guarantee the most.  The
+uniqueness probes always use the full, unpruned LP and its dual, and
+start cold.
 """
 
 from __future__ import annotations
@@ -285,17 +290,77 @@ def convex_game_attacker_lp(pieces) -> tuple[LinearProgram, int]:
     return lp.dual(), len(branch_rows)
 
 
+def _group_max(ps: PieceSet, values: np.ndarray) -> np.ndarray:
+    """Per group, the largest of ``values`` (whose first axis runs over
+    the pieces); the pieces of a group are contiguous."""
+    sizes = np.bincount(ps.group, minlength=ps.n_groups)
+    return np.maximum.reduceat(values, np.cumsum(sizes) - sizes, axis=0)
+
+
+def _first_per_group(ps: PieceSet, values: np.ndarray) -> np.ndarray:
+    """Per group, the index of its first piece with the largest of
+    ``values``, one per piece."""
+    hits = np.flatnonzero(values == _group_max(ps, values)[ps.group])
+    return hits[np.diff(ps.group[hits], prepend=-1) != 0]
+
+
+def convex_game_start(pieces) -> tuple[np.ndarray, np.ndarray]:
+    """A feasible basis of ``convex_game_lp(pieces)`` at a pure delta,
+    as ``lp_solve``'s start (basic variables, rows with a basic slack).
+    delta = e_d0, where d0 minimises max_a of branch a's value at the
+    pure d; each t is basic at its group's largest piece at d0 (the
+    first of equal ones), z at the largest per-a row, and every other
+    row keeps its slack."""
+    ps = PieceSet.from_arrays(pieces)
+    alone = ps.alone
+    n_t, n_a, n_p = ps.shared[0].shape[0], ps.n_a, int((~alone).sum())
+    branch = np.zeros((n_a, ps.n_d))
+    np.add.at(branch, ps.branch, _group_max(ps, ps.k))
+    d0 = int(np.argmin(branch.max(axis=0)))
+    a0 = int(np.argmax(branch[:, d0]))
+    piece_row = np.cumsum(~alone) - 1          # of each piece not alone
+    binding = _first_per_group(ps, ps.k[:, d0])
+    slack = np.ones(n_a + n_p, dtype=bool)
+    slack[a0] = False
+    slack[n_a + piece_row[binding[~alone[binding]]]] = False
+    return np.append(np.arange(1 + n_t), 1 + n_t + d0), np.flatnonzero(slack)
+
+
+def convex_game_attacker_start(pieces) -> tuple[np.ndarray, np.ndarray]:
+    """A feasible basis of ``convex_game_attacker_lp(pieces)`` at a pure
+    alpha, as ``lp_solve``'s start.  Each group plays its piece with the
+    largest sum over d (the first of equal ones); a0 maximises min_d of
+    branch a's total over its groups, alpha_a0 = 1, and beta is 1 on the
+    chosen pieces of a0's groups and 0 on the others.  gamma is basic at
+    the smallest per-d row, and the other per-d rows keep their slacks."""
+    ps = PieceSet.from_arrays(pieces)
+    alone = ps.alone
+    n_t, n_a, n_p = ps.shared[0].shape[0], ps.n_a, int((~alone).sum())
+    chosen = _first_per_group(ps, ps.k.sum(axis=1))
+    total = np.zeros((n_a, ps.n_d))
+    np.add.at(total, ps.branch, ps.k[chosen])
+    a0 = int(np.argmax(total.min(axis=1)))
+    d_min = int(np.argmin(total[a0]))
+    betas = n_a + (np.cumsum(~alone) - 1)[chosen[~alone[chosen]]]
+    return (np.array([a0, *betas, n_a + n_p]),
+            1 + n_t + np.delete(np.arange(ps.n_d), d_min))
+
+
 def solve_convex_linear_game(pieces) -> ConvexGameSolution:
     """Solve min_delta max_a sum_y max_w (pieces[a][y, w] . delta).
 
     Pieces that cannot bind are pruned first; then the epigraph LP is
-    solved, or its dual when that has fewer rows.
+    solved, or its dual when that has fewer rows, from the pure-strategy
+    start of ``convex_game_start`` or ``convex_game_attacker_start``.
     """
     arrays = [np.asarray(p, dtype=float) for p in pieces]
     kept = prune_pieces(arrays)
     lp, n_d, branch_rows = convex_game_lp(kept)
-    solved = lp.dual() if lp.n_vars < lp.b.shape[0] else lp
-    sol = require_optimal(lp_solve(solved), "convex game LP")
+    if lp.n_vars < lp.b.shape[0]:
+        solved, start = lp.dual(), convex_game_attacker_start(kept)
+    else:
+        solved, start = lp, convex_game_start(kept)
+    sol = require_optimal(lp_solve(solved, start), "convex game LP")
     if solved is not lp:
         sol = lp.dual_solution(sol)
     return ConvexGameSolution(
@@ -304,6 +369,7 @@ def solve_convex_linear_game(pieces) -> ConvexGameSolution:
         alpha=_distribution(-sol.duals[branch_rows]),
         diagnostics={
             "gap": sol.gap, "iterations": sol.iterations,
+            "phase1_iterations": sol.diagnostics["phase1_iterations"],
             "lp_rows": solved.b.shape[0], "lp_cols": solved.n_vars,
             "formulation": "defender" if solved is lp else "attacker",
             "pieces_total": sum(p.shape[0] * p.shape[1] for p in arrays),

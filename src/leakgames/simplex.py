@@ -11,12 +11,15 @@ change with it).  The solver carries the
 dense inverse of the basis, (m+1) x (m+1) whatever the number of
 columns: ``_run_phase`` drives the pivot loop of leakgames._kernel_py
 (Devex pricing), reached through the module global ``_kernel``, and
-``_refactor`` reinverts the basis between its calls.  Phase 1 starts from the slack/artificial
-basis after a triangular crash (``_crash``) puts free and structural
-columns in on rows whose right-hand side is 0; when no artificial is
-left in it, phase 1 is skipped.  Variables are nonnegative or free (a
-difference of two nonnegative ones); general upper bounds are out of
-scope.
+``_refactor`` reinverts the basis between its calls.  A caller that
+knows a primal feasible basis passes it to ``lp_solve`` as ``start``;
+phase 2 runs from it, with no crash, no artificial columns and no
+phase 1 (every game LP of ``minimax`` starts at a pure strategy so).
+A cold solve starts phase 1 from the slack/artificial basis after a
+triangular crash (``_crash``) puts free and structural columns in on
+rows whose right-hand side is 0; when no artificial is left in it,
+phase 1 is skipped.  Variables are nonnegative or free (a difference of
+two nonnegative ones); general upper bounds are out of scope.
 """
 
 from __future__ import annotations
@@ -171,10 +174,12 @@ def _refactor(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray,
 
 
 def _run_phase(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray,
-               max_iter: int):
+               max_iter: int, fresh=None):
     """Simplex over all columns of A, reinverting after every REFRESH and
     every claim of the kernel.  Returns (status, work, y, iterations);
-    status is a kernel constant.  A claim counts only when made on a
+    status is a kernel constant.  ``fresh`` is ``_refactor``'s (work, y)
+    for ``basis`` when the caller has just reinverted it; otherwise the
+    phase reinverts first.  A claim counts only when made on a
     fresh inverse; an optimal one whose exact values are infeasible is
     repaired by dual pivots.  A reinversion that fails (singular, or
     values below -1e-7) sends the phase back to the last basis that
@@ -183,7 +188,7 @@ def _run_phase(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray,
     raises SolverError.
     """
     iterations, weights = 0, np.ones(A.shape[1])
-    work, y = _refactor(A, b, c, basis)
+    work, y = _refactor(A, b, c, basis) if fresh is None else fresh
     good = basis.copy()
     while True:
         budget = max_iter - iterations
@@ -269,30 +274,77 @@ def _crash(A: np.ndarray, b: np.ndarray, free_cols: np.ndarray, basis: np.ndarra
             swap(r, cols[0])
 
 
-def lp_solve(lp: LinearProgram) -> LPSolution:
+def _started_basis(A: np.ndarray, b: np.ndarray, c: np.ndarray, lp: LinearProgram,
+                   start) -> tuple:
+    """The basis that ``start`` = (variables, slack rows) names, as
+    columns of ``_standard_form(lp)``'s A, reinverted: (basis, (work, y)).
+    A free variable whose value there is negative enters as its negative
+    half.  A start of the wrong size, or naming a row without a slack,
+    raises ValueError; one that repeats a column, is singular or lies
+    below the feasibility floor raises SolverError."""
+    m, n = A.shape[0], lp.n_vars
+    variables, rows = (np.asarray(v, dtype=np.int64).reshape(-1) for v in start)
+    if variables.size + rows.size != m:
+        raise ValueError(f"the start names {variables.size + rows.size} basic columns "
+                         f"for {m} rows")
+    if ((variables < 0) | (variables >= n)).any() or ((rows < 0) | (rows >= m)).any():
+        raise ValueError("start indices out of range")
+    slack_col = np.full(m, -1)
+    with_slack = np.flatnonzero(lp.slack != 0.0)
+    slack_col[with_slack] = A.shape[1] - with_slack.size + np.arange(with_slack.size)
+    if (slack_col[rows] < 0).any():
+        raise ValueError("a start names the slack of an equality row")
+    basis = np.concatenate([variables, slack_col[rows]])
+    if np.unique(basis).size < m:
+        raise SolverError("singular basis: the start names a column twice")
+    try:
+        work, y = _refactor(A, b, c, basis, 0, -np.inf)
+    except SolverError:
+        raise SolverError(f"singular basis: the start of {m} rows does not reinvert") from None
+    free = np.flatnonzero(lp.free)
+    negative = np.flatnonzero(np.isin(basis, free) & (work[:m, m] < 0.0))
+    basis[negative] = n + np.searchsorted(free, basis[negative])
+    work[negative] *= -1.0          # B^-1 and x_B of the negated columns; y stays
+    if m and work[:m, m].min() < -1e-7:
+        raise SolverError(f"infeasible start: a basic value is {work[:m, m].min():.3g}")
+    return basis, (work, y)
+
+
+def lp_solve(lp: LinearProgram, start=None) -> LPSolution:
     """Solve ``lp`` and return primal values, row duals and the duality gap.
 
     Row duals are reported so that sum(duals * rhs) equals the optimal
     objective at zero gap; for a minimisation, duals of ``<=`` rows are
     <= 0 and of ``>=`` rows >= 0 (flipped for maximisation).
+
+    ``start`` = (variables, slack rows) names a primal feasible basis:
+    the indices of its basic variables and the rows whose slack is
+    basic, m in all.  Phase 2 then runs from it, with no crash and no
+    phase 1.  Without it the solve starts cold.
     """
     n = lp.n_vars
     minimize = lp.sense == "min"
     c0 = lp.c if minimize else -lp.c
     A_std, b_std, slack_std, flips_arr, col_index, col_sign = _standard_form(lp)
     (m, n_std), n_main = A_std.shape, col_index.shape[0]
+    c_std = np.zeros(n_std)
+    c_std[:n_main] = c0[col_index] * col_sign
 
     need_artificial = np.flatnonzero(slack_std != 1.0)
     n_art = need_artificial.shape[0]
-    basis = np.empty(m, dtype=np.int64)
-    basis[slack_std != 0.0] = np.arange(n_main, n_std)
-    basis[need_artificial] = np.arange(n_std, n_std + n_art)
+    if start is None:
+        basis = np.empty(m, dtype=np.int64)
+        basis[slack_std != 0.0] = np.arange(n_main, n_std)
+        basis[need_artificial] = np.arange(n_std, n_std + n_art)
+        _crash(A_std, b_std, np.flatnonzero(lp.free), basis)
+        fresh = None
+    else:
+        basis, fresh = _started_basis(A_std, b_std, c_std, lp, start)
 
     iterations = 0
     max_iter = 5000 + 100 * (m + n_std + n_art)
 
     keep_rows = np.arange(m)
-    _crash(A_std, b_std, np.flatnonzero(lp.free), basis)
     if (basis >= n_std).any():
         # phase 1: minimise the sum of artificials
         A1 = np.hstack([A_std, np.zeros((m, n_art))])
@@ -324,11 +376,11 @@ def lp_solve(lp: LinearProgram) -> LPSolution:
             basis, keep_rows = np.delete(basis, drop), np.delete(keep_rows, rows)
             A_std, b_std = np.delete(A_std, rows, axis=0), np.delete(b_std, rows)
             m -= len(drop)
+    phase1_iterations = iterations
 
     # phase 2 on the artificial-free columns
-    c_std = np.zeros(n_std)
-    c_std[:n_main] = c0[col_index] * col_sign
-    status, work, y_std, its = _run_phase(A_std, b_std, c_std, basis, max_iter - iterations)
+    phase2 = (A_std, b_std, c_std, basis, max_iter - iterations)
+    status, work, y_std, its = _run_phase(*phase2) if fresh is None else _run_phase(*phase2, fresh)
     iterations += its
     if status != _kernel_py.OPTIMAL:
         return LPSolution(status="unbounded" if status == _kernel_py.UNBOUNDED else "stalled",
@@ -355,7 +407,8 @@ def lp_solve(lp: LinearProgram) -> LPSolution:
     duals = duals0 if minimize else -duals0
     return LPSolution(status="optimal", x=x, duals=duals, objective=objective, gap=gap,
                       max_residual=residual, iterations=iterations,
-                      diagnostics={"rows": lp.b.shape[0], "cols": n})
+                      diagnostics={"rows": lp.b.shape[0], "cols": n,
+                                   "phase1_iterations": phase1_iterations})
 
 
 def require_optimal(solution: LPSolution, what: str = "linear program") -> LPSolution:

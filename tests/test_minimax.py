@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,9 @@ from leakgames.minimax import (
     branch_value,
     closed_form_2x2,
     convex_game_attacker_lp,
+    convex_game_attacker_start,
     convex_game_lp,
+    convex_game_start,
     convex_game_unique,
     fictitious_play,
     matrix_game_lp,
@@ -20,6 +24,7 @@ from leakgames.minimax import (
     solve_matrix_game,
 )
 from leakgames.pwdcheck import build_game, secret_labels
+import leakgames.simplex as simplex
 from leakgames.simplex import EQUAL, LESS, LinearProgram, lp_solve
 from leakgames.vuln import Prior
 
@@ -370,6 +375,80 @@ def test_checker_attacker_lps_are_the_hand_built_ones():
         game = build_game(n, Prior.uniform(secret_labels(n)))
         kept = prune_pieces([hidden_branch_pieces(game, a) for a in game.attackers])
         _assert_same_lp(convex_game_attacker_lp(kept)[0], _reference_attacker_lp(kept))
+
+
+def _assert_feasible_start(lp, start):
+    """``start`` names m distinct basic columns of ``lp`` (its variables,
+    then the slacks of the rows listed), they reinvert, and every basic
+    value but a free variable's is >= 0."""
+    variables, rows = start
+    m = lp.b.shape[0]
+    assert variables.size + rows.size == m
+    assert np.unique(variables).size == variables.size and np.unique(rows).size == rows.size
+    assert (lp.slack[rows] != 0.0).all()
+    B = np.hstack([lp.A[:, variables], np.eye(m)[:, rows] * lp.slack[rows]])
+    assert np.linalg.matrix_rank(B) == m
+    x_B = np.linalg.solve(B, lp.b)
+    fixed_sign = np.append(~lp.free[variables], np.ones(rows.size, dtype=bool))
+    assert x_B[fixed_sign].min(initial=0.0) >= -1e-12
+
+
+def _reference_starts(ps):
+    """Both pure-strategy starts written out group by group: (the
+    epigraph LP's, the attacker LP's)."""
+    n_a, n_d = ps.n_a, ps.n_d
+    members = [np.flatnonzero(ps.group == g).tolist() for g in range(ps.n_groups)]
+    shared = [g for g in range(ps.n_groups) if len(members[g]) > 1]
+    piece_row = {i: r for r, i in enumerate(i for g in shared for i in members[g])}
+    n_t, n_p = len(shared), len(piece_row)
+
+    def branch_total(a, group_value):
+        return [sum(group_value(g, d) for g in range(ps.n_groups) if ps.branch[g] == a)
+                for d in range(n_d)]
+
+    value = [branch_total(a, lambda g, d: max(ps.k[i, d] for i in members[g]))
+             for a in range(n_a)]
+    d0 = min(range(n_d), key=lambda d: max(value[a][d] for a in range(n_a)))
+    a0 = max(range(n_a), key=lambda a: value[a][d0])
+    binding = {max(members[g], key=lambda i: ps.k[i, d0]) for g in shared}
+    defender = ([*range(1 + n_t), 1 + n_t + d0],
+                [a for a in range(n_a) if a != a0]
+                + [n_a + r for i, r in piece_row.items() if i not in binding])
+
+    chosen = [max(members[g], key=lambda i: ps.k[i].sum()) for g in range(ps.n_groups)]
+    total = [branch_total(a, lambda g, d: ps.k[chosen[g], d]) for a in range(n_a)]
+    a0 = max(range(n_a), key=lambda a: min(total[a]))
+    d_min = min(range(n_d), key=lambda d: total[a0][d])
+    attacker = ([a0, *(n_a + piece_row[chosen[g]] for g in shared), n_a + n_p],
+                [1 + n_t + d for d in range(n_d) if d != d_min])
+    return defender, attacker
+
+
+@settings(max_examples=150, deadline=None)
+@given(convex_games())
+def test_pure_strategy_starts_are_feasible_bases_of_both_lp_forms(pieces):
+    # whichever form the size rule would pick, pruned or not
+    for ps in (PieceSet.from_arrays(pieces), prune_pieces(pieces)):
+        lp = convex_game_lp(ps)[0]
+        starts = (convex_game_start(ps), convex_game_attacker_start(ps))
+        for start, reference in zip(starts, _reference_starts(ps)):
+            assert [v.tolist() for v in start] == [list(v) for v in reference]
+        for program, start in zip((lp, lp.dual()), starts):
+            _assert_feasible_start(program, start)
+            cold = lp_solve(program)
+            with mock.patch.object(simplex, "_run_phase", wraps=simplex._run_phase) as phase:
+                warm = lp_solve(program, start)
+            assert phase.call_count == 1
+            assert warm.optimal and warm.diagnostics["phase1_iterations"] == 0
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+
+
+def test_4bit_checker_lp_starts_at_a_pure_strategy():
+    # 58 pivots from the crash and phase 1; the pure-strategy start needs 25
+    game = build_game(4, Prior.uniform(secret_labels(4)))
+    diagnostics = solve(game, "IV").diagnostics
+    assert diagnostics["formulation"] == "attacker"
+    assert diagnostics["phase1_iterations"] == 0 and diagnostics["iterations"] <= 40
 
 
 @settings(max_examples=150, deadline=None)

@@ -11,7 +11,13 @@ import leakgames.simplex as simplex
 from leakgames import _kernel_py
 from leakgames.errors import SolverError
 from leakgames.games import hidden_branch_pieces
-from leakgames.minimax import convex_game_attacker_lp, convex_game_lp, prune_pieces
+from leakgames.minimax import (
+    convex_game_attacker_lp,
+    convex_game_lp,
+    convex_game_start,
+    matrix_game_lp,
+    prune_pieces,
+)
 from leakgames.pwdcheck import build_game, bundled_prior, secret_labels
 from leakgames.simplex import LinearProgram, _standard_form, lp_solve, require_optimal
 from leakgames.vuln import Prior
@@ -230,6 +236,27 @@ def test_singular_basis_raises_solver_error():
     A = np.array([[1.0, 2.0, 1.0], [2.0, 4.0, 0.0]])     # columns 0 and 1 are parallel
     with pytest.raises(SolverError, match="singular basis of 2 rows.*7 pivots"):
         simplex._refactor(A, np.ones(2), np.zeros(3), np.array([0, 1]), 7)
+
+
+def test_bad_starts_are_refused():
+    # the demo matrix game's epigraph LP: variables (v, delta), rows for
+    # a = 0 and a = 1 (<= 0), then the simplex.  Its start is the first
+    # pure delta, with v = 1 on the binding row 1 and row 0's slack at 1/2
+    program = matrix_game_lp(np.array([[0.5, 1.0], [1.0, 2 / 3]]))
+    variables, rows = convex_game_start([np.array([[[0.5, 1.0]]]), np.array([[[1.0, 2 / 3]]])])
+    assert variables.tolist() == [0, 1] and rows.tolist() == [0]
+    assert lp_solve(program, (variables, rows)).objective == pytest.approx(0.8, abs=1e-12)
+    with pytest.raises(ValueError, match="2 basic columns for 3 rows"):
+        lp_solve(program, (variables, []))
+    with pytest.raises(ValueError, match="equality row"):
+        lp_solve(program, (variables, [2]))
+    with pytest.raises(ValueError, match="out of range"):
+        lp_solve(program, ([0, 3], [0]))
+    with pytest.raises(SolverError, match="^singular basis: the start names a column twice"):
+        lp_solve(program, ([0, 1, 1], []))
+    # row 0 binding instead puts v at 1/2 and the slack of row 1 at -1/2
+    with pytest.raises(SolverError, match="^infeasible start: a basic value is -0.5$"):
+        lp_solve(program, ([0, 1], [1]))
 
 
 # --- differential against two references -----------------------------------
