@@ -218,13 +218,23 @@ def hidden_branch_pieces(game: LeakageGame, a) -> np.ndarray:
     of the column ``a`` channels: k[y, w, d] = sum_x pi(x) C_da(x, y) g(w, x).
 
     Rows run over the observables some channel of the column declares,
-    in label order.  The array is C-contiguous.
+    in label order.  The array is C-contiguous.  The product runs over
+    every observable and is sliced afterwards, so each entry is the
+    one ``hidden_pieces`` computes, bit for bit.
     """
     j = _index(game.attackers, a)
+    k = game.gain @ (game.prior.weights[:, None] * game.tensor[:, j])     # [d, w, y]
     cols = game.declared[:, j].any(axis=0)
-    joint = game.prior.weights[:, None] * game.tensor[:, j][:, :, cols]  # |D| x |X| x |Y|
-    k = game.gain @ joint                                                  # |D| x |W| x |Y|
-    return np.ascontiguousarray(k.transpose(2, 1, 0))                      # |Y| x |W| x |D|
+    return np.ascontiguousarray(k.transpose(2, 1, 0)[cols])                # [y, w, d]
+
+
+def hidden_pieces(game: LeakageGame) -> list:
+    """Every attacker action's ``hidden_branch_pieces``, in label order,
+    from one product gain @ (pi * C) over the whole tensor, sliced per
+    action to the observables its column declares."""
+    k = game.gain @ (game.prior.weights[:, None] * game.tensor)           # [d, a, w, y]
+    cols = game.declared.any(axis=0)                                       # [a, y]
+    return [np.ascontiguousarray(k_a[c]) for k_a, c in zip(k.transpose(1, 3, 2, 0), cols)]
 
 
 def hidden_mixture_value(game: LeakageGame, a, delta: np.ndarray) -> float:
@@ -303,8 +313,7 @@ def _solve_attacker_first_visible(game: LeakageGame) -> GameSolution:
 def _solve_hidden_simultaneous(game: LeakageGame) -> GameSolution:
     if game._hidden is None:
         game.check_hidden_typing()
-        game._hidden = solve_convex_linear_game(
-            [hidden_branch_pieces(game, a) for a in game.attackers])
+        game._hidden = solve_convex_linear_game(hidden_pieces(game))
     sol = game._hidden
     return GameSolution(
         kind="IV",
@@ -321,8 +330,8 @@ def _attacker_first_hidden(game: LeakageGame):
     per-action minima and the attacker's best action."""
     if game._per_action is None:
         game.check_hidden_typing()
-        game._per_action = {a: solve_convex_linear_game([hidden_branch_pieces(game, a)])
-                            for a in game.attackers}
+        game._per_action = {a: solve_convex_linear_game([p])
+                            for a, p in zip(game.attackers, hidden_pieces(game))}
     sols = game._per_action
     minima = {a: sol.value for a, sol in sols.items()}
     return sols, minima, game.attackers[int(np.argmax(list(minima.values())))]

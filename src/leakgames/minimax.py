@@ -30,10 +30,14 @@ for the simplex, per group of two or more pieces and per d:
 With one piece per branch they are the two matrix-game LPs.  First,
 pieces that can never bind are dropped: within each (a, y), a piece
 that duplicates an earlier one or is componentwise dominated by another
-(exact, since delta >= 0).  Then the LP is solved, or its dual when
-that has fewer rows (``LinearProgram.dual_solution`` reads the
-epigraph LP's solution back off it), and delta is the epigraph LP's
-primal and alpha minus the duals of its per-a rows.  Either LP has a
+(exact, since delta >= 0).  ``prune_pieces`` compares the groups of
+all branches with the same number of pieces per group in one pass, one
+coordinate of delta at a time; the ``PieceSet`` it returns keeps its
+group structure (``alone``, ``shared``) for the LP and its start.  Then
+the LP is solved, or its dual when that has fewer rows
+(``LinearProgram.dual_solution`` reads the epigraph LP's solution back
+off it), and delta is the epigraph LP's primal and alpha minus the
+duals of its per-a rows.  Either LP has a
 feasible basis at a pure strategy, and the solve starts there, with no
 phase 1: ``convex_game_start`` puts delta on the pure d with the
 smallest worst branch, and ``convex_game_attacker_start`` puts alpha on
@@ -45,11 +49,12 @@ start cold.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .matrix import LabeledMatrix
-from .simplex import EQUAL, LESS, LinearProgram, lp_solve, require_optimal
+from .simplex import LESS, LinearProgram, lp_solve, require_optimal
 
 
 def _payoff_array(payoff) -> np.ndarray:
@@ -207,13 +212,13 @@ class PieceSet:
     def n_groups(self) -> int:
         return self.branch.shape[0]
 
-    @property
+    @cached_property
     def alone(self) -> np.ndarray:
         """Mask over pieces: the only piece of its group.  The epigraph
         LP substitutes such a group out (see the module docstring)."""
         return np.bincount(self.group, minlength=self.n_groups)[self.group] == 1
 
-    @property
+    @cached_property
     def shared(self) -> tuple[np.ndarray, np.ndarray]:
         """The groups of two or more pieces, and the position among them
         of the group of each piece not ``alone``."""
@@ -221,7 +226,8 @@ class PieceSet:
 
 
 def binding_pieces(p: np.ndarray) -> np.ndarray:
-    """Mask over (y, w) of the pieces of one branch that can bind.
+    """Mask over (y, w) of the pieces p[y, w] that can bind, each y a
+    group of its own (one branch, or the groups of several stacked).
 
     Within each y, piece w is dropped when another piece v covers it:
     k[y, v] >= k[y, w] componentwise, and either some component is
@@ -230,19 +236,41 @@ def binding_pieces(p: np.ndarray) -> np.ndarray:
     leaves max_w unchanged whatever the signs of the entries.  Covering
     is a strict order, so every covered piece lies below a kept one and
     each y keeps at least one piece.
+
+    ge[v, w, y] (k[y, v] >= k[y, w]) is built one coordinate d at a
+    time, so the temporaries hold n_w^2 n_y booleans, not the n_d times
+    as many of an all-pairs broadcast over d.  Each step first copies
+    p[:, :, d] into a [w, y] buffer, so the comparison runs over
+    contiguous memory with the groups innermost, whatever p's layout.
     """
-    n_w = p.shape[1]
-    ge = (p[:, :, None, :] >= p[:, None, :, :]).all(axis=3)   # [y, v, w]: k_v >= k_w
-    earlier = np.arange(n_w)[:, None] < np.arange(n_w)[None, :]
-    covers = ge & (~ge.transpose(0, 2, 1) | earlier)
-    return ~covers.any(axis=1)
+    n_y, n_w, n_d = p.shape
+    ge = np.ones((n_w, n_w, n_y), dtype=bool)
+    step = np.empty_like(ge)
+    col = np.empty((n_w, n_y))
+    for d in range(n_d):
+        np.copyto(col, p[:, :, d].T)
+        np.greater_equal(col[:, None, :], col[None, :, :], out=step)
+        ge &= step
+    earlier = (np.arange(n_w)[:, None] < np.arange(n_w)[None, :])[:, :, None]
+    covers = ge & (~ge.transpose(1, 0, 2) | earlier)
+    return ~covers.any(axis=0).T
 
 
 def prune_pieces(pieces) -> PieceSet:
-    """The pieces that can bind (see ``binding_pieces``), as a PieceSet."""
+    """The pieces that can bind (see ``binding_pieces``), as a PieceSet.
+    Branches may differ in n_y and in n_w.  The groups of all branches
+    with the same n_w are pruned by one ``binding_pieces`` call, so
+    there is one call per distinct n_w, not one per branch; when every
+    branch has the same n_w, that call reads the flat pieces in place."""
     arrays = [np.asarray(p, dtype=float) for p in pieces]
     full = PieceSet.from_arrays(arrays)
-    keep = np.concatenate([binding_pieces(p).reshape(-1) for p in arrays])
+    widths = [p.shape[1] for p in arrays]
+    width = np.repeat(widths, [p.shape[0] * p.shape[1] for p in arrays])    # per piece
+    keep = np.empty(width.shape[0], dtype=bool)
+    for n_w in set(widths):
+        rows = width == n_w
+        k = full.k if rows.all() else full.k[rows]
+        keep[rows] = binding_pieces(k.reshape(-1, n_w, full.n_d)).reshape(-1)
     return PieceSet(k=full.k[keep], group=full.group[keep], branch=full.branch,
                     n_a=full.n_a)
 
@@ -256,7 +284,8 @@ def convex_game_lp(pieces) -> tuple[LinearProgram, int, list]:
     Variables: z, one t per group of two or more pieces, delta; rows:
     per a, per piece of such a group, the simplex.  Returns the LP, the
     number of delta variables (the last ones), and the indices of the
-    per-a rows (for duals).
+    per-a rows (for duals).  An entry that is not finite, or a per-a
+    row sum that overflows, raises ValueError.
     """
     ps = PieceSet.from_arrays(pieces)
     alone = ps.alone
@@ -273,10 +302,14 @@ def convex_game_lp(pieces) -> tuple[LinearProgram, int, list]:
     A[n_a + np.arange(n_p), 1 + t_of] = -1.0
     A[n_a:-1, 1 + n_t:] = ps.k[~alone]
     A[-1, 1 + n_t:] = 1.0
+    if not np.isfinite(A).all():
+        raise ValueError("objective and constraints must be finite")
     b = np.zeros(n_a + n_p + 1)
     b[-1] = 1.0
-    lp = LinearProgram.build(c, A, np.repeat([LESS, EQUAL], [n_a + n_p, 1]), b,
-                             sense="min", free=range(1 + n_t))
+    slack = np.ones(n_a + n_p + 1)         # <= rows, then the simplex row's =
+    slack[-1] = 0.0
+    lp = LinearProgram(c=c, A=A, b=b, slack=slack, sense="min",
+                       free=np.arange(nvar) < 1 + n_t)
     return lp, n_d, list(range(n_a))
 
 

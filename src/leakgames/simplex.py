@@ -158,12 +158,13 @@ def _refactor(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray,
     pivots pile up in the inverse; ``pivots`` counts them, for errors.
     x_B below ``floor`` means the updates had drifted: SolverError."""
     m = A.shape[0]
+    B = A[:, basis]
     try:
-        binv = np.linalg.inv(A[:, basis])
+        binv = np.linalg.inv(B)
     except np.linalg.LinAlgError:
         raise SolverError(f"singular basis of {m} rows at reinversion, "
                           f"{pivots} pivots after the last one") from None
-    B = A[:, basis].astype(np.longdouble)
+    B = B.astype(np.longdouble)
     x_B, y = _refined(binv, B, b), _refined(binv.T, B.T, c[basis])
     if m and x_B.min() < floor:
         raise SolverError(f"simplex lost primal feasibility (rhs {x_B.min():.3g})")
@@ -225,6 +226,9 @@ def _standard_form(lp: LinearProgram):
     then one slack per inequality row.  Returns (A_std, b_std, slack_std, flips,
     col_index, col_sign): main column k is col_sign[k] times original
     column col_index[k]; flips maps row duals back to the original rows.
+    A_std is written in place: the scaled rows go straight into its
+    first n columns, the flipped ones are negated there, and the free
+    columns' negative halves are copied from them.
     """
     A, b, free, n = lp.A, lp.b, lp.free, lp.n_vars
     scale = np.abs(A).max(axis=1, initial=0.0)
@@ -233,12 +237,16 @@ def _standard_form(lp: LinearProgram):
     b_std = np.abs(b) / scale
     slack_std = lp.slack * flip
 
-    col_index = np.concatenate([np.arange(n), np.flatnonzero(free)])
-    col_sign = np.concatenate([np.ones(n), np.full(int(free.sum()), -1.0)])
+    free_cols = np.flatnonzero(free)
+    col_index = np.concatenate([np.arange(n), free_cols])
+    col_sign = np.concatenate([np.ones(n), np.full(free_cols.shape[0], -1.0)])
     n_main = col_index.shape[0]
     slack_rows = np.flatnonzero(slack_std != 0.0)
     A_std = np.zeros((A.shape[0], n_main + slack_rows.shape[0]))
-    A_std[:, :n_main] = (A / scale[:, None] * flip[:, None])[:, col_index] * col_sign
+    main = A_std[:, :n]
+    np.divide(A, scale[:, None], out=main)
+    np.negative(main, out=main, where=(b < 0)[:, None])
+    np.negative(main[:, free_cols], out=A_std[:, n:n_main])
     A_std[slack_rows, n_main + np.arange(slack_rows.shape[0])] = slack_std[slack_rows]
     return A_std, b_std, slack_std, flip / scale, col_index, col_sign
 
@@ -295,14 +303,16 @@ def _started_basis(A: np.ndarray, b: np.ndarray, c: np.ndarray, lp: LinearProgra
     if (slack_col[rows] < 0).any():
         raise ValueError("a start names the slack of an equality row")
     basis = np.concatenate([variables, slack_col[rows]])
-    if np.unique(basis).size < m:
+    if (np.bincount(basis) > 1).any():
         raise SolverError("singular basis: the start names a column twice")
     try:
         work, y = _refactor(A, b, c, basis, 0, -np.inf)
     except SolverError:
         raise SolverError(f"singular basis: the start of {m} rows does not reinvert") from None
     free = np.flatnonzero(lp.free)
-    negative = np.flatnonzero(np.isin(basis, free) & (work[:m, m] < 0.0))
+    free_col = np.zeros(A.shape[1], dtype=bool)
+    free_col[free] = True
+    negative = np.flatnonzero(free_col[basis] & (work[:m, m] < 0.0))
     basis[negative] = n + np.searchsorted(free, basis[negative])
     work[negative] *= -1.0          # B^-1 and x_B of the negated columns; y stays
     if m and work[:m, m].min() < -1e-7:

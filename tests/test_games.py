@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import channel, demo_game, random_game, random_measure, random_prior
+from conftest import (
+    channel,
+    demo_game,
+    random_channel,
+    random_game,
+    random_measure,
+    random_prior,
+)
 from leakgames.channels import Channel
 from leakgames.errors import DuplicateIndex, TypeMismatch, UnknownAction
 from leakgames.games import (
@@ -16,6 +23,7 @@ from leakgames.games import (
     audit_hierarchy,
     hidden_branch_pieces,
     hidden_mixture_value,
+    hidden_pieces,
     mixed_to_behavioral,
     payoff_matrix,
     quantile_coupling,
@@ -371,6 +379,34 @@ def test_pieces_align_channels_listed_in_other_orders():
         assert np.array_equal(payoff_matrix(reordered).data, payoff_matrix(g).data)
         for (d, a), ch in chans.items():
             assert reordered.channel(d, a).entries_equal(ch)
+
+
+def test_hidden_pieces_equal_each_branchs_pieces_bit_for_bit():
+    # each column has its own observables, so every profile lacks the
+    # other columns' ones, and defender 0 sometimes lacks one of its own
+    # column's too; columns with one observable and gain measures with
+    # one guess occur
+    rng = np.random.default_rng(26)
+    for _ in range(60):
+        n_d, n_a, n_x = (int(v) for v in rng.integers(1, 5, size=3))
+        secrets = tuple(f"x{i}" for i in range(n_x))
+        chans = {}
+        for a in range(n_a):
+            cols = tuple(f"y{a}_{k}" for k in range(int(rng.integers(1, 5))))
+            for d in range(n_d):
+                own = cols[:-1] if d == 0 and len(cols) > 1 and rng.random() < 0.3 else cols
+                chans[str(d), str(a)] = random_channel(rng, secrets, own)
+        n_w = int(rng.integers(0, 4))
+        measure = VulnMeasure.bayes() if n_w == 0 else VulnMeasure.from_gain(
+            tuple(f"w{i}" for i in range(n_w)), secrets, rng.normal(size=(n_w, n_x)))
+        g = LeakageGame(tuple(map(str, range(n_d))), tuple(map(str, range(n_a))), chans,
+                        random_prior(rng, secrets), measure)
+        together = hidden_pieces(g)
+        assert len(together) == n_a
+        for a, k in zip(g.attackers, together):
+            alone = hidden_branch_pieces(g, a)
+            assert k.flags.c_contiguous and k.shape == alone.shape
+            assert k.tobytes() == alone.tobytes()
 
 
 def test_game_arrays_are_read_only_and_built_once():
