@@ -42,19 +42,21 @@ feasible basis at a pure strategy, and the solve starts there, with no
 phase 1: ``convex_game_start`` puts delta on the pure d with the
 smallest worst branch, and ``convex_game_attacker_start`` puts alpha on
 the branch a whose pieces, one per group, guarantee the most.  The
-uniqueness probes always use the full, unpruned LP and its dual, and
-start cold.
+uniqueness probes use the full, unpruned LP and its dual, each solved
+from its pure-strategy start; every probe of a coordinate's range over
+the optimal face then starts at that LP's optimal basis with the
+slack of the row that pins the objective basic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 from .matrix import LabeledMatrix
-from .simplex import LESS, LinearProgram, lp_solve, require_optimal
+from .simplex import LinearProgram, lp_solve, require_optimal
 
 
 def _payoff_array(payoff) -> np.ndarray:
@@ -298,7 +300,8 @@ def convex_game_lp(pieces) -> tuple[LinearProgram, int, list]:
     per_a = A[:n_a]
     per_a[:, 0] = -1.0
     per_a[ps.branch[groups], 1 + np.arange(n_t)] = 1.0
-    np.add.at(per_a[:, 1 + n_t:], ps.branch[ps.group[alone]], ps.k[alone])
+    with np.errstate(over="ignore"):            # an overflow is refused below
+        np.add.at(per_a[:, 1 + n_t:], ps.branch[ps.group[alone]], ps.k[alone])
     A[n_a + np.arange(n_p), 1 + t_of] = -1.0
     A[n_a:-1, 1 + n_t:] = ps.k[~alone]
     A[-1, 1 + n_t:] = 1.0
@@ -416,17 +419,21 @@ def branch_value(pieces_a: np.ndarray, delta: np.ndarray) -> float:
     return float(np.einsum("ywd,d->yw", pieces_a, delta).max(axis=1).sum())
 
 
-def optimal_coordinate_range(lp: LinearProgram, optimum: float, coord: int,
+def optimal_coordinate_range(lp: LinearProgram, optimum: float, coord: int, basis: tuple,
                              slack: float = 1e-9) -> tuple[float, float]:
-    """Range of one variable over the (near-)optimal face of ``lp``."""
+    """Range of one variable over the (near-)optimal face of ``lp``.
+    ``basis`` is an optimal basis of ``lp`` (``LPSolution.basis``); both
+    probes start there, with the pin row's slack basic."""
+    if not np.isfinite(optimum):
+        raise ValueError("objective and constraints must be finite")
     sign = 1.0 if lp.sense == "min" else -1.0
-    A = np.vstack([lp.A, sign * lp.c])      # pin: sign * c.x <= sign * optimum + slack
-    b = np.append(lp.b, sign * optimum + slack)
-    relations = np.append(lp.relations, LESS)
     e = np.zeros(lp.n_vars)
     e[coord] = 1.0
-    free = np.flatnonzero(lp.free)
-    lo, hi = (require_optimal(lp_solve(LinearProgram.build(e, A, relations, b, sense, free)),
+    probe = LinearProgram(      # pin: sign * c.x <= sign * optimum + slack
+        c=e, A=np.vstack([lp.A, sign * lp.c]), b=np.append(lp.b, sign * optimum + slack),
+        slack=np.append(lp.slack, 1.0), sense="min", free=lp.free)
+    start = (basis[0], np.append(basis[1], lp.b.shape[0]))
+    lo, hi = (require_optimal(lp_solve(replace(probe, sense=sense), start),
                               "range probe").objective for sense in ("min", "max"))
     return float(lo), float(hi)
 
@@ -437,15 +444,18 @@ def matrix_game_unique(u: np.ndarray, value: float, tol: float = 1e-7) -> bool:
 
 
 def convex_game_unique(pieces, value: float, tol: float = 1e-6) -> bool:
-    """Probe uniqueness of (delta, alpha) in a convex-linear game."""
-    lp, n_d, branch_rows = convex_game_lp(pieces)
-    for d in range(lp.n_vars - n_d, lp.n_vars):
-        lo, hi = optimal_coordinate_range(lp, value, d)
-        if hi - lo > tol:
-            return False
-    dual_lp = lp.dual()
-    for a in branch_rows:
-        lo, hi = optimal_coordinate_range(dual_lp, value, a)
-        if hi - lo > tol:
-            return False
+    """Probe uniqueness of (delta, alpha) in a convex-linear game: the
+    range of each coordinate over the optimal face of the unpruned
+    epigraph LP (delta) and of its dual (alpha), probed from the
+    optimal basis of that LP."""
+    ps = PieceSet.from_arrays(pieces)
+    lp, n_d, branch_rows = convex_game_lp(ps)
+    for program, start_at, coords in (
+            (lp, convex_game_start, range(lp.n_vars - n_d, lp.n_vars)),
+            (lp.dual(), convex_game_attacker_start, branch_rows)):
+        basis = require_optimal(lp_solve(program, start_at(ps)), "uniqueness LP").basis
+        for coord in coords:
+            lo, hi = optimal_coordinate_range(program, value, coord, basis)
+            if hi - lo > tol:
+                return False
     return True

@@ -13,13 +13,15 @@ columns: ``_run_phase`` drives the pivot loop of leakgames._kernel_py
 (Devex pricing), reached through the module global ``_kernel``, and
 ``_refactor`` reinverts the basis between its calls.  A caller that
 knows a primal feasible basis passes it to ``lp_solve`` as ``start``;
-phase 2 runs from it, with no crash, no artificial columns and no
-phase 1 (every game LP of ``minimax`` starts at a pure strategy so).
-A cold solve starts phase 1 from the slack/artificial basis after a
-triangular crash (``_crash``) puts free and structural columns in on
-rows whose right-hand side is 0; when no artificial is left in it,
-phase 1 is skipped.  Variables are nonnegative or free (a difference of
-two nonnegative ones); general upper bounds are out of scope.
+phase 2 runs from it, with no artificial columns and no phase 1.
+Every LP that ``minimax`` builds starts so: a game LP at a pure
+strategy, a uniqueness probe at its game LP's optimal basis, which
+``LPSolution.basis`` hands back in the same form.  A cold solve (a
+direct ``lp_solve`` call) starts from the slack basis with one
+artificial per row that has no +1 slack once b is made nonnegative,
+and skips phase 1 when there is no such row.  Variables are
+nonnegative or free (a difference of two nonnegative ones); general
+upper bounds are out of scope.
 """
 
 from __future__ import annotations
@@ -111,23 +113,25 @@ class LinearProgram:
     def dual_solution(self, sol: "LPSolution") -> "LPSolution":
         """This LP's solution read off ``sol``, a solution of ``dual()``:
         x and the row duals swap roles.  The objective, gap and
-        iterations carry over; ``max_residual`` stays the dual's."""
+        iterations carry over; ``max_residual`` stays the dual's, and
+        ``basis`` is None (the dual's basis is not carried over)."""
         if not sol.optimal:
             return sol
-        return replace(sol, x=sol.duals, duals=self._dual_signs() * sol.x)
-
-    @property
-    def relations(self) -> np.ndarray:
-        return _RELATIONS[(1.0 - self.slack).astype(np.int64)]
+        return replace(sol, x=sol.duals, duals=self._dual_signs() * sol.x, basis=None)
 
     @property
     def rows(self) -> tuple:
         """(coefficients, relation, bound) per row, derived from the arrays."""
-        return tuple(zip(self.A, self.relations.tolist(), self.b.tolist()))
+        relations = _RELATIONS[(1.0 - self.slack).astype(np.int64)]
+        return tuple(zip(self.A, relations.tolist(), self.b.tolist()))
 
 
 @dataclass
 class LPSolution:
+    """``basis`` is the final basis of an optimal solve as ``lp_solve``'s
+    start (basic variables, rows with a basic slack), so passing it back
+    restarts at the optimum; None when phase 1 dropped a redundant row."""
+
     status: str  # "optimal" | "infeasible" | "unbounded" | "stalled"
     x: np.ndarray | None = None
     duals: np.ndarray | None = None
@@ -136,6 +140,7 @@ class LPSolution:
     max_residual: float | None = None
     iterations: int = 0
     diagnostics: dict = field(default_factory=dict)
+    basis: tuple | None = None
 
     @property
     def optimal(self) -> bool:
@@ -224,8 +229,10 @@ def _standard_form(lp: LinearProgram):
     a negative right-hand side (flipping their slack sign), and expand
     the columns: the variables, the negative halves of the free ones,
     then one slack per inequality row.  Returns (A_std, b_std, slack_std, flips,
-    col_index, col_sign): main column k is col_sign[k] times original
-    column col_index[k]; flips maps row duals back to the original rows.
+    col_index, col_sign, slack_rows): main column k is col_sign[k] times
+    original column col_index[k], and the slack columns belong to the
+    rows slack_rows in order; flips maps row duals back to the original
+    rows.
     A_std is written in place: the scaled rows go straight into its
     first n columns, the flipped ones are negated there, and the free
     columns' negative halves are copied from them.
@@ -248,38 +255,7 @@ def _standard_form(lp: LinearProgram):
     np.negative(main, out=main, where=(b < 0)[:, None])
     np.negative(main[:, free_cols], out=A_std[:, n:n_main])
     A_std[slack_rows, n_main + np.arange(slack_rows.shape[0])] = slack_std[slack_rows]
-    return A_std, b_std, slack_std, flip / scale, col_index, col_sign
-
-
-def _crash(A: np.ndarray, b: np.ndarray, free_cols: np.ndarray, basis: np.ndarray) -> None:
-    """Swap columns of A into the slack/artificial start ``basis`` (in
-    place; artificials are numbered from A's column count) on rows
-    whose b is 0: first each free column, then one column per
-    artificial row (Bixby, ORSA J. Computing 4(3), 1992).  A column
-    enters on a row where its entry is at least SMALL_PIVOT in size, and
-    only if it is zero on every row chosen before, so the basis is
-    triangular on the swapped rows, hence nonsingular; as b is 0 there,
-    x_B stays b.  Rows with no such column keep their slack or
-    artificial."""
-    open_rows = b == 0.0
-    if not open_rows.any():
-        return
-    wide = np.abs(A) >= _kernel_py.SMALL_PIVOT
-    touched = np.zeros(A.shape[1], dtype=bool)      # nonzero on a chosen row
-
-    def swap(r, j):
-        basis[r] = j
-        open_rows[r] = False
-        touched[A[r] != 0.0] = True
-
-    for j in free_cols:
-        rows = np.flatnonzero(open_rows & wide[:, j])
-        if rows.size and not touched[j]:
-            swap(rows[0], j)
-    for r in np.flatnonzero(open_rows & (basis >= A.shape[1])):
-        cols = np.flatnonzero(wide[r] > touched)    # wide and untouched
-        if cols.size:
-            swap(r, cols[0])
+    return A_std, b_std, slack_std, flip / scale, col_index, col_sign, slack_rows
 
 
 def _started_basis(A: np.ndarray, b: np.ndarray, c: np.ndarray, lp: LinearProgram,
@@ -329,13 +305,15 @@ def lp_solve(lp: LinearProgram, start=None) -> LPSolution:
 
     ``start`` = (variables, slack rows) names a primal feasible basis:
     the indices of its basic variables and the rows whose slack is
-    basic, m in all.  Phase 2 then runs from it, with no crash and no
-    phase 1.  Without it the solve starts cold.
+    basic, m in all.  Phase 2 then runs from it, with no artificials and
+    no phase 1.  Without it the solve starts cold, from the slack basis
+    with an artificial on every row of the standard form that has no +1
+    slack; phase 1 runs only when there is such a row.
     """
     n = lp.n_vars
     minimize = lp.sense == "min"
     c0 = lp.c if minimize else -lp.c
-    A_std, b_std, slack_std, flips_arr, col_index, col_sign = _standard_form(lp)
+    A_std, b_std, slack_std, flips_arr, col_index, col_sign, slack_rows = _standard_form(lp)
     (m, n_std), n_main = A_std.shape, col_index.shape[0]
     c_std = np.zeros(n_std)
     c_std[:n_main] = c0[col_index] * col_sign
@@ -344,9 +322,8 @@ def lp_solve(lp: LinearProgram, start=None) -> LPSolution:
     n_art = need_artificial.shape[0]
     if start is None:
         basis = np.empty(m, dtype=np.int64)
-        basis[slack_std != 0.0] = np.arange(n_main, n_std)
+        basis[slack_rows] = np.arange(n_main, n_std)
         basis[need_artificial] = np.arange(n_std, n_std + n_art)
-        _crash(A_std, b_std, np.flatnonzero(lp.free), basis)
         fresh = None
     else:
         basis, fresh = _started_basis(A_std, b_std, c_std, lp, start)
@@ -415,8 +392,11 @@ def lp_solve(lp: LinearProgram, start=None) -> LPSolution:
 
     objective = primal0 if minimize else -primal0
     duals = duals0 if minimize else -duals0
+    main = basis < n_main       # col_index maps a free variable's negative half to it
+    named = None if m < lp.b.shape[0] else (col_index[basis[main]],
+                                            slack_rows[basis[~main] - n_main])
     return LPSolution(status="optimal", x=x, duals=duals, objective=objective, gap=gap,
-                      max_residual=residual, iterations=iterations,
+                      max_residual=residual, iterations=iterations, basis=named,
                       diagnostics={"rows": lp.b.shape[0], "cols": n,
                                    "phase1_iterations": phase1_iterations})
 

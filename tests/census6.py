@@ -6,9 +6,9 @@ on the uniform prior and on the census priors
 compares each value with the value scipy's HiGHS (1.17.1) gives for the
 same game's epigraph LP, pinned below, within 1e-9.  Prints one line
 per run, with that run's own peak RSS, and exits 1 if any run fails or
-differs.  On one 2-vCPU Xeon core the uniform run takes about 17 s and
-peaks near 825 MB, and each Dirichlet run takes 49-84 s and peaks near
-875 MB.  pytest does not collect this file; it has a CI job of its own.
+differs.  On one 2-vCPU Xeon core the uniform run takes 13-15 s and
+peaks near 768 MB, and each Dirichlet run takes 37-81 s and peaks near
+815 MB.  pytest does not collect this file; it has a CI job of its own.
 
 Usage: PYTHONPATH=src python tests/census6.py
 """

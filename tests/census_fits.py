@@ -10,7 +10,7 @@ is solved by ``lp_solve`` and checked against scipy's HiGHS as the test
 checks it (``conftest._fit_mismatch``).  Prints the solved, raised and
 wrong counts, the total pivots and each solver's time, and exits 1 on
 any wrong answer or when more fits raise ``SolverError`` than RAISES.
-On one 2-vCPU Xeon core a run takes about 40 s.  pytest does not
+On one 2-vCPU Xeon core a run takes about 21 s.  pytest does not
 collect this file.
 
 Usage: PYTHONPATH=src python tests/census_fits.py

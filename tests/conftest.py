@@ -103,12 +103,30 @@ def _fit_program(T: np.ndarray, B: np.ndarray) -> LinearProgram:
                                np.concatenate([b_ub, b_eq]))
 
 
+def _certified_optimal(T: np.ndarray, B: np.ndarray, sol: LPSolution,
+                       tol: float = 1e-12) -> bool:
+    """Whether ``sol``'s x and row duals, checked here against the data
+    of ``_fit_lp(T, B)``, are a primal-dual pair that proves ``sol``
+    optimal within ``tol``: x >= 0 and feasible, the duals of the <=
+    rows <= 0, every reduced cost >= 0, and no duality gap."""
+    c, a_ub, b_ub, a_eq, b_eq = _fit_lp(T, B)
+    A, b, n_ub = np.vstack([a_ub, a_eq]), np.concatenate([b_ub, b_eq]), b_ub.shape[0]
+    x, y = sol.x, sol.duals
+    excess = A @ x - b
+    return max(-x.min(), excess[:n_ub].max(), np.abs(excess[n_ub:]).max(), y[:n_ub].max(),
+               -(c - A.T @ y).min(), abs(c @ x - b @ y)) <= tol
+
+
 def _fit_mismatch(T: np.ndarray, B: np.ndarray, sol: LPSolution) -> str | None:
     """Why ``sol``, lp_solve's solution of ``_fit_program(T, B)``, is
     wrong, or None: it must be optimal, feasible to 1e-9, and within
     1e-9 of HiGHS's objective, plus however far HiGHS's own point
     violates the LP (its tolerances apply to its internally scaled LP).
-    Where HiGHS gives up (about one fit in 3000), there is no reference."""
+    Where HiGHS gives up (about one fit in 3000), there is no reference.
+    On some fits of a target made of one repeated row, from a base
+    within 1e-8 of it, HiGHS stops about 5e-9 above the optimum of 0
+    (an exact fit exists, and lp_solve finds it), so an objective below
+    HiGHS's counts when ``_certified_optimal`` proves it."""
     from scipy.optimize import linprog
 
     if not sol.optimal:
@@ -121,7 +139,8 @@ def _fit_mismatch(T: np.ndarray, B: np.ndarray, sol: LPSolution) -> str | None:
     if ref.status == 0:
         ref_violation = max(0.0, -ref.x.min(), (a_ub @ ref.x - b_ub).max(),
                             np.abs(a_eq @ ref.x - b_eq).max())
-        if abs(sol.objective - ref.fun) > 1e-9 + ref_violation:
+        off = sol.objective - ref.fun
+        if abs(off) > 1e-9 + ref_violation and not (off < 0 and _certified_optimal(T, B, sol)):
             return f"objective {sol.objective!r}, HiGHS {ref.fun!r}"
     return None
 

@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 from unittest import mock
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leakgames.games import hidden_branch_pieces, solve
+from conftest import demo_game
+from leakgames.games import audit_hierarchy, hidden_branch_pieces, payoff_matrix, solve
 from leakgames.minimax import (
     binding_pieces,
     branch_value,
@@ -294,12 +296,14 @@ def test_non_finite_games_are_refused(bad):
     pieces[1][0, 2] = [2.0, bad, 2.0]
     with pytest.raises(ValueError, match="objective and constraints must be finite"):
         solve_convex_linear_game(pieces)
+    # and so is a value to probe uniqueness at
+    with pytest.raises(ValueError, match="objective and constraints must be finite"):
+        matrix_game_unique(DEMO_PAYOFF, bad)
 
 
 def test_overflowing_per_branch_sums_are_refused():
     # two one-piece groups of one branch add up in its per-a row
-    with np.errstate(over="ignore"), pytest.raises(
-            ValueError, match="objective and constraints must be finite"):
+    with pytest.raises(ValueError, match="objective and constraints must be finite"):
         solve_convex_linear_game([np.full((2, 1, 2), 1e308)])
 
 
@@ -509,8 +513,38 @@ def test_pure_strategy_starts_are_feasible_bases_of_both_lp_forms(pieces):
             assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
 
 
+@contextlib.contextmanager
+def _every_lp_started():
+    """Fails unless every ``lp_solve`` call that minimax makes inside the
+    block passes a start."""
+    with mock.patch("leakgames.minimax.lp_solve", wraps=lp_solve) as solve_lp:
+        yield
+    starts = [call.args[1] if len(call.args) > 1 else call.kwargs.get("start")
+              for call in solve_lp.call_args_list]
+    assert starts and all(start is not None for start in starts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(convex_games())
+def test_solves_and_uniqueness_probes_start_from_a_basis(pieces):
+    u = np.stack([p[0, 0] for p in pieces], axis=1)     # a matrix game: one piece per branch
+    with _every_lp_started():
+        convex_game_unique(pieces, solve_convex_linear_game(pieces).value)
+        matrix_game_unique(u, solve_matrix_game(u).value)
+
+
+def test_demo_game_audit_and_probes_start_from_a_basis():
+    game = demo_game()
+    with _every_lp_started():
+        audit_hierarchy(game)
+        convex_game_unique([hidden_branch_pieces(game, a) for a in game.attackers],
+                           solve(game, "IV").value)
+        matrix_game_unique(payoff_matrix(game).data, solve(game, "I").value)
+
+
 def test_4bit_checker_lp_starts_at_a_pure_strategy():
-    # 58 pivots from the crash and phase 1; the pure-strategy start needs 25
+    # 96 pivots from a cold start (49 of them in phase 1); the pure-strategy
+    # start needs 25
     game = build_game(4, Prior.uniform(secret_labels(4)))
     diagnostics = solve(game, "IV").diagnostics
     assert diagnostics["formulation"] == "attacker"
