@@ -25,6 +25,7 @@ from .minimax import (
     closed_form_2x2,
     fictitious_play,
     solve_convex_linear_game,
+    solve_convex_linear_games,
     solve_matrix_game,
 )
 from .simplex import LinearProgram, LPSolution, lp_solve
@@ -47,7 +48,8 @@ __all__ = [
     "format_label", "parse_label", "tag",
     "LabeledMatrix", "concat", "matrix_sum", "scalar_mul",
     "LinearProgram", "LPSolution", "closed_form_2x2", "fictitious_play",
-    "lp_solve", "solve_convex_linear_game", "solve_matrix_game",
+    "lp_solve", "solve_convex_linear_game", "solve_convex_linear_games",
+    "solve_matrix_game",
     "Prior", "VulnMeasure", "leakage",
     "posterior_vuln", "posterior_vuln_mc", "prior_vuln",
 ]

@@ -27,8 +27,12 @@ Seven solve modes cover the order-of-play / visibility grid:
 Hidden-choice payoffs are convex piecewise-linear in the defender's
 mixture; visible-choice payoffs are bilinear, the case of one piece per
 attacker action.  So I and IV-VI all go through
-leakgames.minimax.solve_convex_linear_game (the epigraph LP or its dual,
-whichever is smaller), and II-III are pure argmin/argmax.
+leakgames.minimax.solve_convex_linear_games (the epigraph LP or its
+dual, whichever is smaller), and II-III are pure argmin/argmax.  VI
+solves one game per attacker action, and those games are packed into
+shared block LPs; an audit packs I's, IV's and VI's games together, so
+each audit of a small game is one LP.  Each solution is kept with the
+game, so a later ``solve`` of the same mode reuses it.
 
 Tie-breaking everywhere: lowest action in label order.  The actions
 are stored in that order, so it is the first index np.argmin and
@@ -48,8 +52,9 @@ from .labels import label_key
 from .matrix import LabeledMatrix, sorted_labels
 from .minimax import (
     branch_value,
-    solve_convex_linear_game,
-    solve_matrix_game,
+    matrix_game_pieces,
+    minimax_residual,
+    solve_convex_linear_games,
 )
 from .vuln import Prior, VulnMeasure, stacked_posterior_vuln
 
@@ -64,12 +69,12 @@ class LeakageGame:
     union of all profiles' outputs (zero where a profile lacks one).
     ``declared[d, a, y]`` marks each profile's own outputs; ``gain[w, x]``
     is the measure's gain matrix, the identity for Bayes.  All are
-    read-only.  The LP solutions of IV (also V's) and of each attacker
-    action (both VI modes') are kept on first use.
+    read-only.  The LP solutions of I, of IV (also V's) and of each
+    attacker action (both VI modes') are kept on first use.
     """
 
     __slots__ = ("defenders", "attackers", "secrets", "observables", "tensor",
-                 "declared", "gain", "prior", "measure", "_hidden", "_per_action")
+                 "declared", "gain", "prior", "measure", "_solved")
 
     def __init__(self, defenders, attackers, channels: Mapping, prior: Prior,
                  measure: VulnMeasure):
@@ -127,7 +132,7 @@ class LeakageGame:
         self.tensor, self.declared, self.gain = tensor, declared, measure.gain_matrix(prior.labels)
         for arr in (tensor, declared, self.gain):
             arr.setflags(write=False)
-        self._hidden = self._per_action = None
+        self._solved = {}
 
     def channel(self, d, a) -> Channel:
         """Profile (d, a)'s channel over its own outputs, rebuilt from the tensor."""
@@ -265,8 +270,39 @@ def solve(game: LeakageGame, kind: str) -> GameSolution:
     return _solve_attacker_first_hidden_behavioral(game)
 
 
+def _convex_solutions(game: LeakageGame, modes: tuple) -> list:
+    """The LP solutions of ``modes``, a subset of "I", "IV" and "VI",
+    each solved once per game: I's matrix game (with its
+    ``minimax_residual``), IV's hidden game, and VI's per attacker
+    action (a dict).  Those not yet solved are solved by one
+    ``solve_convex_linear_games`` call, which packs them into shared
+    LPs."""
+    todo = [mode for mode in modes if mode not in game._solved]
+    if todo:
+        games = []
+        if "I" in todo:
+            u = payoff_matrix(game).data
+            games.append(matrix_game_pieces(u))
+        if "IV" in todo or "VI" in todo:
+            game.check_hidden_typing()
+            pieces = hidden_pieces(game)
+        if "IV" in todo:
+            games.append(pieces)
+        if "VI" in todo:
+            games.extend([p] for p in pieces)
+        sols = iter(solve_convex_linear_games(games))
+        if "I" in todo:
+            sol = game._solved["I"] = next(sols)
+            sol.diagnostics["minimax_residual"] = minimax_residual(u, sol)
+        if "IV" in todo:
+            game._solved["IV"] = next(sols)
+        if "VI" in todo:
+            game._solved["VI"] = dict(zip(game.attackers, sols))
+    return [game._solved[mode] for mode in modes]
+
+
 def _solve_visible_simultaneous(game: LeakageGame) -> GameSolution:
-    sol = solve_matrix_game(payoff_matrix(game))
+    sol, = _convex_solutions(game, ("I",))
     return GameSolution(
         kind="I",
         value=sol.value,
@@ -311,10 +347,7 @@ def _solve_attacker_first_visible(game: LeakageGame) -> GameSolution:
 
 
 def _solve_hidden_simultaneous(game: LeakageGame) -> GameSolution:
-    if game._hidden is None:
-        game.check_hidden_typing()
-        game._hidden = solve_convex_linear_game(hidden_pieces(game))
-    sol = game._hidden
+    sol, = _convex_solutions(game, ("IV",))
     return GameSolution(
         kind="IV",
         value=sol.value,
@@ -325,14 +358,11 @@ def _solve_hidden_simultaneous(game: LeakageGame) -> GameSolution:
 
 
 def _attacker_first_hidden(game: LeakageGame):
-    """Each attacker action's minimising hidden mixture (one LP per
-    action, solved once per game and shared by both VI modes), the
-    per-action minima and the attacker's best action."""
-    if game._per_action is None:
-        game.check_hidden_typing()
-        game._per_action = {a: solve_convex_linear_game([p])
-                            for a, p in zip(game.attackers, hidden_pieces(game))}
-    sols = game._per_action
+    """Each attacker action's minimising hidden mixture (one game per
+    action, the games packed into shared LPs, solved once per game and
+    shared by both VI modes), the per-action minima and the attacker's
+    best action."""
+    sols, = _convex_solutions(game, ("VI",))
     minima = {a: sol.value for a, sol in sols.items()}
     return sols, minima, game.attackers[int(np.argmax(list(minima.values())))]
 
@@ -434,8 +464,10 @@ def audit_hierarchy(game: LeakageGame, tol: float = 1e-7) -> HierarchyReport:
 
     The expected lattice: II >= I >= III, I >= IV >= VI_mixed,
     III >= VI_mixed >= VI_behavioral, and IV == V.  III and IV are
-    deliberately not compared: neither dominates the other.
+    deliberately not compared: neither dominates the other.  The LPs of
+    I, IV and VI are solved first, by one packed solve.
     """
+    _convex_solutions(game, ("I", "IV", "VI"))
     values = {k: solve(game, k).value for k in KINDS}
     orderings = []
     violations = []

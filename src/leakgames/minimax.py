@@ -30,10 +30,10 @@ for the simplex, per group of two or more pieces and per d:
 With one piece per branch they are the two matrix-game LPs.  First,
 pieces that can never bind are dropped: within each (a, y), a piece
 that duplicates an earlier one or is componentwise dominated by another
-(exact, since delta >= 0).  ``prune_pieces`` compares the groups of
-all branches with the same number of pieces per group in one pass, one
-coordinate of delta at a time; the ``PieceSet`` it returns keeps its
-group structure (``alone``, ``shared``) for the LP and its start.  Then
+(exact, since delta >= 0).  ``prune_pieces`` compares all groups with
+the same number of pieces in one pass, one coordinate of delta at a
+time; the ``PieceSet`` it returns keeps its group structure
+(``alone``, ``shared``) for the LP and its start.  Then
 the LP is solved, or its dual when that has fewer rows
 (``LinearProgram.dual_solution`` reads the epigraph LP's solution back
 off it), and delta is the epigraph LP's primal and alpha minus the
@@ -46,12 +46,32 @@ uniqueness probes use the full, unpruned LP and its dual, each solved
 from its pure-strategy start; every probe of a coordinate's range over
 the optimal face then starts at that LP's optimal basis with the
 slack of the row that pins the objective basic.
+
+``solve_convex_linear_games`` solves independent games over the same
+delta (an audit's modes on one defender set) in shared LPs, and
+``solve_convex_linear_game`` is its case of one game.  A ``PieceSet``
+holds the pieces of every game, each branch tagged with its game, so
+pruning, building and both starts make one pass over all of them.  The
+packed epigraph LP has one block per game, each kind of row and
+variable in game order: the per-a rows of every branch, then the piece
+rows, then one simplex row per game; one z per game, then the t's,
+then one delta per game.  Its objective is the sum of the z's.  The
+games share no variable, so the LP is block-diagonal once its rows and
+columns are grouped by game, and an optimum of the sum is an optimum
+of every game.  Its start is the games' own starts together, and one
+formulation is chosen for the whole LP by its size.  Each game's value
+is its share of the objective, and its delta and alpha are read off its
+own variables and rows.  One game alone builds exactly the LP it
+always did.  Games are packed greedily, in order, while the form
+solved stays within ``MAX_PACKED_ROWS`` rows, since a pivot's cost
+grows with the size of the whole LP (see there for the measurement).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -63,14 +83,14 @@ def _payoff_array(payoff) -> np.ndarray:
     return np.array(payoff.data if isinstance(payoff, LabeledMatrix) else payoff, dtype=float)
 
 
-def _one_piece(u: np.ndarray) -> list:
+def matrix_game_pieces(u: np.ndarray) -> list:
     """A matrix game as a convex game: branch a's one piece is column a."""
     return [col.reshape(1, 1, -1) for col in np.asarray(u, dtype=float).T]
 
 
 def matrix_game_lp(u: np.ndarray) -> LinearProgram:
     """Row player's LP: variables (v, delta), min v."""
-    return convex_game_lp(_one_piece(u))[0]
+    return convex_game_lp(matrix_game_pieces(u))[0]
 
 
 def _distribution(weights: np.ndarray) -> np.ndarray:
@@ -85,10 +105,15 @@ def solve_matrix_game(payoff) -> ConvexGameSolution:
     the convex game with one piece per branch, so delta is the row
     player's strategy and alpha the column player's."""
     u = _payoff_array(payoff)
-    sol = solve_convex_linear_game(_one_piece(u))
-    sol.diagnostics["minimax_residual"] = max(abs((sol.delta @ u).max() - sol.value),
-                                              abs((u @ sol.alpha).min() - sol.value))
+    sol = solve_convex_linear_game(matrix_game_pieces(u))
+    sol.diagnostics["minimax_residual"] = minimax_residual(u, sol)
     return sol
+
+
+def minimax_residual(u: np.ndarray, sol: ConvexGameSolution) -> float:
+    """How far either pure deviation moves the payoff of ``sol``, a
+    solution of the matrix game u, from its value."""
+    return max(abs((sol.delta @ u).max() - sol.value), abs((u @ sol.alpha).min() - sol.value))
 
 
 def closed_form_2x2(payoff):
@@ -171,48 +196,76 @@ class ConvexGameSolution:
 
 @dataclass(frozen=True)
 class PieceSet:
-    """Epigraph pieces of a convex game, one row per piece.
+    """Epigraph pieces of one or more independent convex games over the
+    same delta, one row per piece.
 
     ``k[i]`` holds the coefficients over delta of piece i, ``group[i]``
-    the index of its (a, y) group, and ``branch[g]`` the column-player
-    action a of group g.  Groups are numbered a-major, then y, and the
-    pieces of a group follow their w order, so the pieces of
-    ``from_arrays`` are the arrays' entries in row-major order.
+    the index of its (a, y) group, ``branch[g]`` the branch (column-player
+    action) of group g, and ``game[a]`` the game of branch a.  Branches
+    are numbered game-major, groups branch-major, then y, and the pieces
+    of a group follow their w order, so the pieces of ``from_games`` are
+    the arrays' entries in row-major order.
     """
 
     k: np.ndarray
     group: np.ndarray
     branch: np.ndarray
-    n_a: int
+    game: np.ndarray
 
     @staticmethod
-    def from_arrays(pieces) -> "PieceSet":
-        """Flatten per-a arrays of shape (n_y, n_w, n_d); a PieceSet
-        passes through unchanged."""
-        if isinstance(pieces, PieceSet):
-            return pieces
-        pieces = [np.asarray(p, dtype=float) for p in pieces]
-        n_d = pieces[0].shape[2]
+    def from_games(games) -> "PieceSet":
+        """Flatten independent games, each a sequence of per-a arrays of
+        shape (n_y, n_w, n_d) with one n_d for all."""
+        arrays = [[np.asarray(p, dtype=float) for p in pieces] for pieces in games]
+        if not arrays or not all(arrays):
+            raise ValueError("a convex game needs at least one branch")
+        flat = [p for pieces in arrays for p in pieces]
+        n_d = flat[0].shape[-1]
         groups, branch = [], []
-        for a, p in enumerate(pieces):
+        for a, p in enumerate(flat):
             if p.ndim != 3 or p.shape[2] != n_d:
                 raise ValueError("piece arrays must have shape (n_y, n_w, n_d)")
             n_y, n_w, _ = p.shape
             groups.append(len(branch) + np.repeat(np.arange(n_y), n_w))
             branch.extend([a] * n_y)
         return PieceSet(
-            k=np.concatenate([p.reshape(-1, n_d) for p in pieces]),
+            k=np.concatenate([p.reshape(-1, n_d) for p in flat]),
             group=np.concatenate(groups).astype(np.int64),
             branch=np.array(branch, dtype=np.int64),
-            n_a=len(pieces))
+            game=np.repeat(np.arange(len(arrays)), [len(p) for p in arrays]))
+
+    @staticmethod
+    def from_arrays(pieces) -> "PieceSet":
+        """One game's per-a arrays, as ``from_games``; a PieceSet passes
+        through unchanged."""
+        return pieces if isinstance(pieces, PieceSet) else PieceSet.from_games([pieces])
 
     @property
     def n_d(self) -> int:
         return self.k.shape[1]
 
     @property
+    def n_a(self) -> int:
+        return self.game.shape[0]
+
+    @property
     def n_groups(self) -> int:
         return self.branch.shape[0]
+
+    @property
+    def n_games(self) -> int:
+        return int(self.game[-1]) + 1
+
+    @cached_property
+    def piece_game(self) -> np.ndarray:
+        """Per piece, its game."""
+        return self.game[self.branch[self.group]]
+
+    @cached_property
+    def group_first(self) -> np.ndarray:
+        """Per group, the index of its first piece."""
+        sizes = np.bincount(self.group, minlength=self.n_groups)
+        return np.cumsum(sizes) - sizes
 
     @cached_property
     def alone(self) -> np.ndarray:
@@ -225,6 +278,21 @@ class PieceSet:
         """The groups of two or more pieces, and the position among them
         of the group of each piece not ``alone``."""
         return np.unique(self.group[~self.alone], return_inverse=True)
+
+    @cached_property
+    def a_first(self) -> np.ndarray:
+        """Per game, the index of its first branch, and then n_a."""
+        return np.searchsorted(self.game, np.arange(self.n_games + 1))
+
+    def games_between(self, lo: int, hi: int) -> "PieceSet":
+        """The games lo, ..., hi - 1, renumbered from 0."""
+        if (lo, hi) == (0, self.n_games):
+            return self
+        a0, a1 = self.a_first[[lo, hi]]
+        g0, g1 = np.searchsorted(self.branch, [a0, a1])
+        p0, p1 = np.searchsorted(self.group, [g0, g1])
+        return PieceSet(k=self.k[p0:p1], group=self.group[p0:p1] - g0,
+                        branch=self.branch[g0:g1] - a0, game=self.game[a0:a1] - lo)
 
 
 def binding_pieces(p: np.ndarray) -> np.ndarray:
@@ -259,159 +327,227 @@ def binding_pieces(p: np.ndarray) -> np.ndarray:
 
 
 def prune_pieces(pieces) -> PieceSet:
-    """The pieces that can bind (see ``binding_pieces``), as a PieceSet.
-    Branches may differ in n_y and in n_w.  The groups of all branches
-    with the same n_w are pruned by one ``binding_pieces`` call, so
-    there is one call per distinct n_w, not one per branch; when every
-    branch has the same n_w, that call reads the flat pieces in place."""
-    arrays = [np.asarray(p, dtype=float) for p in pieces]
-    full = PieceSet.from_arrays(arrays)
-    widths = [p.shape[1] for p in arrays]
-    width = np.repeat(widths, [p.shape[0] * p.shape[1] for p in arrays])    # per piece
-    keep = np.empty(width.shape[0], dtype=bool)
-    for n_w in set(widths):
+    """The pieces that can bind (see ``binding_pieces``), as a PieceSet:
+    one game's per-a arrays, or a PieceSet of any number of games.
+    Groups may differ in size.  The groups of every branch and game with
+    the same number of pieces are pruned by one ``binding_pieces`` call,
+    so there is one call per distinct group size above 1; when every
+    group has that size, the call reads the flat pieces in place."""
+    full = PieceSet.from_arrays(pieces)
+    sizes = np.bincount(full.group, minlength=full.n_groups)
+    width = sizes[full.group]       # per piece
+    keep = np.ones(width.shape[0], dtype=bool)
+    for n_w in np.unique(sizes[sizes > 1]).tolist():
         rows = width == n_w
         k = full.k if rows.all() else full.k[rows]
         keep[rows] = binding_pieces(k.reshape(-1, n_w, full.n_d)).reshape(-1)
     return PieceSet(k=full.k[keep], group=full.group[keep], branch=full.branch,
-                    n_a=full.n_a)
+                    game=full.game)
 
 
 def convex_game_lp(pieces) -> tuple[LinearProgram, int, list]:
-    """Epigraph LP for min_delta max_a of piecewise-linear branch payoffs.
+    """Epigraph LP for min_delta max_a of piecewise-linear branch payoffs,
+    of every game when ``pieces`` packs several (a PieceSet).
 
-    ``pieces`` is a sequence over column-player actions; pieces[a] is an
-    array of shape (n_y_a, n_w_a, n_d): the linear coefficients over
-    delta of piece (y, w) of branch a.  A PieceSet is accepted as well.
-    Variables: z, one t per group of two or more pieces, delta; rows:
-    per a, per piece of such a group, the simplex.  Returns the LP, the
-    number of delta variables (the last ones), and the indices of the
-    per-a rows (for duals).  An entry that is not finite, or a per-a
-    row sum that overflows, raises ValueError.
+    One game's ``pieces`` is a sequence over column-player actions;
+    pieces[a] is an array of shape (n_y_a, n_w_a, n_d): the linear
+    coefficients over delta of piece (y, w) of branch a.  Variables: one
+    z per game, one t per group of two or more pieces, one delta per
+    game; rows: per a, per piece of such a group, one simplex row per
+    game (see the module docstring).  The objective is the sum of the
+    z's.  Returns the LP, n_d and the indices of the per-a rows (for
+    duals).  An entry that is not finite, or a per-a row sum that
+    overflows, raises ValueError.
     """
     ps = PieceSet.from_arrays(pieces)
     alone = ps.alone
     groups, t_of = ps.shared
-    n_d, n_t, n_p, n_a = ps.n_d, groups.shape[0], t_of.shape[0], ps.n_a
-    nvar = 1 + n_t + n_d  # z, t, delta
-    c = np.zeros(nvar)
-    c[0] = 1.0
-    A = np.zeros((n_a + n_p + 1, nvar))    # per-a rows, piece rows, simplex row
-    per_a = A[:n_a]
-    per_a[:, 0] = -1.0
-    per_a[ps.branch[groups], 1 + np.arange(n_t)] = 1.0
+    n_games, n_d, n_a = ps.n_games, ps.n_d, ps.n_a
+    n_t, n_p = groups.shape[0], t_of.shape[0]
+    n_row, n_var = n_a + n_p + n_games, n_games + n_t + n_games * n_d
+    c = np.zeros(n_var)
+    c[:n_games] = 1.0
+    A = np.zeros((n_row, n_var))
+    delta = A[:, n_games + n_t:].reshape(n_row, n_games, n_d)   # a view: [row, game, d]
+    per_a, pieces_rows = np.arange(n_a), n_a + np.arange(n_p)
+    A[per_a, ps.game] = -1.0
+    A[ps.branch[groups], n_games + np.arange(n_t)] = 1.0
+    alone_sum = np.zeros((n_a, n_d))
     with np.errstate(over="ignore"):            # an overflow is refused below
-        np.add.at(per_a[:, 1 + n_t:], ps.branch[ps.group[alone]], ps.k[alone])
-    A[n_a + np.arange(n_p), 1 + t_of] = -1.0
-    A[n_a:-1, 1 + n_t:] = ps.k[~alone]
-    A[-1, 1 + n_t:] = 1.0
+        np.add.at(alone_sum, ps.branch[ps.group[alone]], ps.k[alone])
+    delta[per_a, ps.game] = alone_sum
+    A[pieces_rows, n_games + t_of] = -1.0
+    delta[pieces_rows, ps.piece_game[~alone]] = ps.k[~alone]
+    delta[n_a + n_p + np.arange(n_games), np.arange(n_games)] = 1.0
     if not np.isfinite(A).all():
         raise ValueError("objective and constraints must be finite")
-    b = np.zeros(n_a + n_p + 1)
-    b[-1] = 1.0
-    slack = np.ones(n_a + n_p + 1)         # <= rows, then the simplex row's =
-    slack[-1] = 0.0
-    lp = LinearProgram(c=c, A=A, b=b, slack=slack, sense="min",
-                       free=np.arange(nvar) < 1 + n_t)
-    return lp, n_d, list(range(n_a))
+    b = np.zeros(n_row)
+    b[n_a + n_p:] = 1.0
+    slack = np.ones(n_row)              # <= rows, but the simplex rows' =
+    slack[n_a + n_p:] = 0.0
+    return (LinearProgram(c=c, A=A, b=b, slack=slack, sense="min",
+                          free=np.arange(n_var) < n_games + n_t),
+            n_d, list(range(n_a)))
 
 
 def convex_game_attacker_lp(pieces) -> tuple[LinearProgram, int]:
     """Maximin LP of the column player for the convex game: the dual of
     ``convex_game_lp``, with variables alpha (per a), beta (per piece of
-    a group of two or more) and gamma, and rows for the simplex, per
-    such group and per d.  Returns the LP and the number of alpha
-    variables (the first ones)."""
+    a group of two or more) and gamma (per game), and rows for the
+    simplex (per game), per such group and per d (per game).  Returns
+    the LP and the number of alpha variables (the first ones)."""
     lp, _, branch_rows = convex_game_lp(pieces)
     return lp.dual(), len(branch_rows)
 
 
-def _group_max(ps: PieceSet, values: np.ndarray) -> np.ndarray:
-    """Per group, the largest of ``values`` (whose first axis runs over
-    the pieces); the pieces of a group are contiguous."""
-    sizes = np.bincount(ps.group, minlength=ps.n_groups)
-    return np.maximum.reduceat(values, np.cumsum(sizes) - sizes, axis=0)
-
-
-def _first_per_group(ps: PieceSet, values: np.ndarray) -> np.ndarray:
-    """Per group, the index of its first piece with the largest of
-    ``values``, one per piece."""
-    hits = np.flatnonzero(values == _group_max(ps, values)[ps.group])
-    return hits[np.diff(ps.group[hits], prepend=-1) != 0]
+def _first_max(values: np.ndarray, owner: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Per run of equal ``owner`` (nondecreasing; ``first`` holds where
+    each run starts), the index of its first largest value."""
+    hits = np.flatnonzero(values == np.maximum.reduceat(values, first)[owner])
+    return hits[np.diff(owner[hits], prepend=-1) != 0]
 
 
 def convex_game_start(pieces) -> tuple[np.ndarray, np.ndarray]:
-    """A feasible basis of ``convex_game_lp(pieces)`` at a pure delta,
-    as ``lp_solve``'s start (basic variables, rows with a basic slack).
+    """A feasible basis of ``convex_game_lp(pieces)`` at a pure delta
+    per game, as ``lp_solve``'s start (basic variables, rows with a
+    basic slack): the games' own starts together.  In each game,
     delta = e_d0, where d0 minimises max_a of branch a's value at the
     pure d; each t is basic at its group's largest piece at d0 (the
     first of equal ones), z at the largest per-a row, and every other
     row keeps its slack."""
     ps = PieceSet.from_arrays(pieces)
-    alone = ps.alone
-    n_t, n_a, n_p = ps.shared[0].shape[0], ps.n_a, int((~alone).sum())
+    alone, first = ps.alone, ps.a_first[:-1]
+    n_games, n_t, n_a = ps.n_games, ps.shared[0].shape[0], ps.n_a
     branch = np.zeros((n_a, ps.n_d))
-    np.add.at(branch, ps.branch, _group_max(ps, ps.k))
-    d0 = int(np.argmin(branch.max(axis=0)))
-    a0 = int(np.argmax(branch[:, d0]))
-    piece_row = np.cumsum(~alone) - 1          # of each piece not alone
-    binding = _first_per_group(ps, ps.k[:, d0])
-    slack = np.ones(n_a + n_p, dtype=bool)
+    np.add.at(branch, ps.branch, np.maximum.reduceat(ps.k, ps.group_first, axis=0))
+    d0 = np.argmin(np.maximum.reduceat(branch, first, axis=0), axis=1)
+    a0 = _first_max(branch[np.arange(n_a), d0[ps.game]], ps.game, first)
+    binding = _first_max(ps.k[np.arange(ps.k.shape[0]), d0[ps.piece_game]], ps.group,
+                         ps.group_first)
+    slack = np.ones(n_a + int((~alone).sum()), dtype=bool)
     slack[a0] = False
-    slack[n_a + piece_row[binding[~alone[binding]]]] = False
-    return np.append(np.arange(1 + n_t), 1 + n_t + d0), np.flatnonzero(slack)
+    slack[n_a + (np.cumsum(~alone) - 1)[binding[~alone[binding]]]] = False
+    return (np.append(np.arange(n_games + n_t), n_games + n_t + ps.n_d * np.arange(n_games) + d0),
+            np.flatnonzero(slack))
 
 
 def convex_game_attacker_start(pieces) -> tuple[np.ndarray, np.ndarray]:
     """A feasible basis of ``convex_game_attacker_lp(pieces)`` at a pure
-    alpha, as ``lp_solve``'s start.  Each group plays its piece with the
-    largest sum over d (the first of equal ones); a0 maximises min_d of
+    alpha per game, as ``lp_solve``'s start: the games' own starts
+    together.  Each group plays its piece with the largest sum over d
+    (the first of equal ones).  In each game, a0 maximises min_d of
     branch a's total over its groups, alpha_a0 = 1, and beta is 1 on the
     chosen pieces of a0's groups and 0 on the others.  gamma is basic at
-    the smallest per-d row, and the other per-d rows keep their slacks."""
+    the smallest per-d row, and the other per-d rows keep their
+    slacks."""
     ps = PieceSet.from_arrays(pieces)
-    alone = ps.alone
+    alone, n_games, n_d = ps.alone, ps.n_games, ps.n_d
     n_t, n_a, n_p = ps.shared[0].shape[0], ps.n_a, int((~alone).sum())
-    chosen = _first_per_group(ps, ps.k.sum(axis=1))
-    total = np.zeros((n_a, ps.n_d))
+    chosen = _first_max(ps.k.sum(axis=1), ps.group, ps.group_first)
+    total = np.zeros((n_a, n_d))
     np.add.at(total, ps.branch, ps.k[chosen])
-    a0 = int(np.argmax(total.min(axis=1)))
-    d_min = int(np.argmin(total[a0]))
+    a0 = _first_max(total.min(axis=1), ps.game, ps.a_first[:-1])
+    d_min = np.argmin(total[a0], axis=1)
     betas = n_a + (np.cumsum(~alone) - 1)[chosen[~alone[chosen]]]
-    return (np.array([a0, *betas, n_a + n_p]),
-            1 + n_t + np.delete(np.arange(ps.n_d), d_min))
+    return (np.concatenate([a0, betas, n_a + n_p + np.arange(n_games)]),
+            n_games + n_t + np.delete(np.arange(n_games * n_d), n_d * np.arange(n_games) + d_min))
+
+
+MAX_PACKED_ROWS = 75
+"""Row cap of a packed LP: ``solve_convex_linear_games`` adds a game to
+an LP only while the form it would solve, the one with fewer rows, stays
+within this many rows; a game above the cap gets an LP of its own.
+Packing saves each LP's fixed cost, but a pivot's cost grows with the
+rows and columns of the whole LP while the pivot count only adds up, so
+large packs lose.  Measured on a 2-vCPU Xeon VM with one BLAS thread,
+medians of 25 interleaved runs per cap: the 4-bit checker audit (I 17,
+IV 73 and sixteen VI games of 28 rows) took 31.1 ms at a cap of 50,
+29.1 at 60, 29.0 at 75, 30.2 at 90, 34.2 at 120 and 40.4 at 150, and
+one LP for all of it (cap 300) 91 ms; the wide games of the seed-0
+``audit_mix`` benchmark inputs took 3.01, 3.18, 2.76, 2.78, 2.74 and
+2.78 ms per audit.  At 75 every ``audit_mix`` audit is one LP: the
+widest packs 6 columns for I, at most 21 for IV and 9 for each of five
+VI games."""
+
+
+def _packs(ps: PieceSet):
+    """Greedy runs (lo, hi) of consecutive games of ``ps``, each one LP
+    that stays within MAX_PACKED_ROWS rows, or one game."""
+    def per_game(owner):
+        return np.bincount(owner, minlength=ps.n_games)
+
+    n_p, n_t = per_game(ps.piece_game[~ps.alone]), per_game(ps.game[ps.branch[ps.shared[0]]])
+    row = list(accumulate((per_game(ps.game) + n_p + 1).tolist(), initial=0))
+    col = list(accumulate((1 + n_t + ps.n_d).tolist(), initial=0))
+    lo = 0
+    for hi in range(2, len(row)):       # could the games lo to hi - 1 share an LP?
+        if min(row[hi] - row[lo], col[hi] - col[lo]) > MAX_PACKED_ROWS:
+            yield lo, hi - 1
+            lo = hi - 1
+    yield lo, len(row) - 1
 
 
 def solve_convex_linear_game(pieces) -> ConvexGameSolution:
-    """Solve min_delta max_a sum_y max_w (pieces[a][y, w] . delta).
+    """Solve min_delta max_a sum_y max_w (pieces[a][y, w] . delta): the
+    one-game case of ``solve_convex_linear_games``."""
+    return solve_convex_linear_games([pieces])[0]
 
-    Pieces that cannot bind are pruned first; then the epigraph LP is
-    solved, or its dual when that has fewer rows, from the pure-strategy
-    start of ``convex_game_start`` or ``convex_game_attacker_start``.
+
+def solve_convex_linear_games(games) -> list:
+    """Solve independent convex games over one delta (see
+    ``solve_convex_linear_game``), in order.
+
+    Pieces that cannot bind are pruned first, all games in one pass.
+    Then consecutive games are packed greedily into LPs of at most
+    MAX_PACKED_ROWS rows; each packed epigraph LP is solved, or its
+    dual when that has fewer rows, from the pure-strategy start of
+    ``convex_game_start`` or ``convex_game_attacker_start``.  Each
+    game's value is its share of the objective; its delta and alpha are
+    read off its own variables and rows.  Its diagnostics are those of
+    the LP it was solved in, and its own piece counts.
     """
-    arrays = [np.asarray(p, dtype=float) for p in pieces]
-    kept = prune_pieces(arrays)
-    lp, n_d, branch_rows = convex_game_lp(kept)
+    arrays = [[np.asarray(p, dtype=float) for p in pieces] for pieces in games]
+    kept = prune_pieces(PieceSet.from_games(arrays))
+    totals = [sum(p.shape[0] * p.shape[1] for p in pieces) for pieces in arrays]
+    sols = []
+    for lo, hi in _packs(kept):
+        sols.extend(_solve_packed(kept.games_between(lo, hi), totals[lo:hi]))
+    return sols
+
+
+def _solve_packed(ps: PieceSet, totals: list) -> list:
+    """The solutions of the games of ``ps`` from one LP; ``totals``
+    holds each game's number of pieces before pruning."""
+    lp = convex_game_lp(ps)[0]
+    n_games, n_d, n_a = ps.n_games, ps.n_d, ps.n_a
+    games = np.arange(n_games)
+    # owner: the game of each variable of the LP solved, whose objective
+    # shares are summed per game
     if lp.n_vars < lp.b.shape[0]:
-        solved, start = lp.dual(), convex_game_attacker_start(kept)
+        solved, start = lp.dual(), convex_game_attacker_start(ps)
+        owner = np.concatenate([ps.game, ps.piece_game[~ps.alone], games])
     else:
-        solved, start = lp, convex_game_start(kept)
-    sol = require_optimal(lp_solve(solved, start), "convex game LP")
-    if solved is not lp:
-        sol = lp.dual_solution(sol)
-    return ConvexGameSolution(
-        value=float(sol.objective),
-        delta=_distribution(sol.x[-n_d:]),
-        alpha=_distribution(-sol.duals[branch_rows]),
-        diagnostics={
-            "gap": sol.gap, "iterations": sol.iterations,
-            "phase1_iterations": sol.diagnostics["phase1_iterations"],
-            "lp_rows": solved.b.shape[0], "lp_cols": solved.n_vars,
-            "formulation": "defender" if solved is lp else "attacker",
-            "pieces_total": sum(p.shape[0] * p.shape[1] for p in arrays),
-            "pieces_kept": int(kept.k.shape[0]),
-        },
-    )
+        solved, start = lp, convex_game_start(ps)
+        owner = np.concatenate([games, ps.game[ps.branch[ps.shared[0]]], np.repeat(games, n_d)])
+    raw = require_optimal(lp_solve(solved, start), "convex game LP")
+    sol = raw if solved is lp else lp.dual_solution(raw)
+    sign = 1.0 if solved.sense == "min" else -1.0    # as lp_solve forms its objective
+    share = sign * solved.c * raw.x
+    diagnostics = {
+        "gap": sol.gap, "iterations": sol.iterations,
+        "phase1_iterations": sol.diagnostics["phase1_iterations"],
+        "lp_rows": solved.b.shape[0], "lp_cols": solved.n_vars,
+        "formulation": "defender" if solved is lp else "attacker",
+    }
+    kept = np.bincount(ps.piece_game, minlength=n_games)
+    deltas = sol.x[lp.n_vars - n_games * n_d:].reshape(n_games, n_d)
+    alphas, first = -sol.duals[:n_a], ps.a_first
+    return [ConvexGameSolution(
+        value=float(sign * np.add.reduce(share[owner == g])),
+        delta=_distribution(deltas[g]),
+        alpha=_distribution(alphas[first[g]:first[g + 1]]),
+        diagnostics={**diagnostics, "pieces_total": totals[g], "pieces_kept": int(kept[g])})
+        for g in range(n_games)]
 
 
 def branch_value(pieces_a: np.ndarray, delta: np.ndarray) -> float:
@@ -440,7 +576,7 @@ def optimal_coordinate_range(lp: LinearProgram, optimum: float, coord: int, basi
 
 def matrix_game_unique(u: np.ndarray, value: float, tol: float = 1e-7) -> bool:
     """Probe whether the equilibrium strategies of a matrix game are unique."""
-    return convex_game_unique(_one_piece(u), value, tol)
+    return convex_game_unique(matrix_game_pieces(u), value, tol)
 
 
 def convex_game_unique(pieces, value: float, tol: float = 1e-6) -> bool:

@@ -259,9 +259,10 @@ def _standard_form(lp: LinearProgram):
 
 
 def _started_basis(A: np.ndarray, b: np.ndarray, c: np.ndarray, lp: LinearProgram,
-                   start) -> tuple:
+                   start, slack_rows: np.ndarray) -> tuple:
     """The basis that ``start`` = (variables, slack rows) names, as
-    columns of ``_standard_form(lp)``'s A, reinverted: (basis, (work, y)).
+    columns of ``_standard_form(lp)``'s A, whose slack columns belong to
+    ``slack_rows`` in order, reinverted: (basis, (work, y)).
     A free variable whose value there is negative enters as its negative
     half.  A start of the wrong size, or naming a row without a slack,
     raises ValueError; one that repeats a column, is singular or lies
@@ -274,8 +275,7 @@ def _started_basis(A: np.ndarray, b: np.ndarray, c: np.ndarray, lp: LinearProgra
     if ((variables < 0) | (variables >= n)).any() or ((rows < 0) | (rows >= m)).any():
         raise ValueError("start indices out of range")
     slack_col = np.full(m, -1)
-    with_slack = np.flatnonzero(lp.slack != 0.0)
-    slack_col[with_slack] = A.shape[1] - with_slack.size + np.arange(with_slack.size)
+    slack_col[slack_rows] = A.shape[1] - slack_rows.size + np.arange(slack_rows.size)
     if (slack_col[rows] < 0).any():
         raise ValueError("a start names the slack of an equality row")
     basis = np.concatenate([variables, slack_col[rows]])
@@ -326,7 +326,7 @@ def lp_solve(lp: LinearProgram, start=None) -> LPSolution:
         basis[need_artificial] = np.arange(n_std, n_std + n_art)
         fresh = None
     else:
-        basis, fresh = _started_basis(A_std, b_std, c_std, lp, start)
+        basis, fresh = _started_basis(A_std, b_std, c_std, lp, start, slack_rows)
 
     iterations = 0
     max_iter = 5000 + 100 * (m + n_std + n_art)

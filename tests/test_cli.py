@@ -494,6 +494,7 @@ def test_pwd_analyze_builds_payoff_table_only_on_request(capsys, monkeypatch):
 
 def test_pwd_analyze_builds_no_channel_and_one_lp(capsys, monkeypatch):
     import leakgames.games as games
+    import leakgames.minimax as minimax
     from leakgames.channels import Channel
 
     calls = Counter()
@@ -505,12 +506,13 @@ def test_pwd_analyze_builds_no_channel_and_one_lp(capsys, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(Channel, "__init__", counting("channels", Channel.__init__))
-    monkeypatch.setattr(games, "solve_convex_linear_game",
-                        counting("convex", games.solve_convex_linear_game))
+    monkeypatch.setattr(games, "solve_convex_linear_games",
+                        counting("convex", games.solve_convex_linear_games))
+    monkeypatch.setattr(minimax, "lp_solve", counting("lp", minimax.lp_solve))
     code, _, _ = run(capsys, "pwd", "analyze", "--bits", "3")
     assert code == 0
     # the checker goes in as one tensor, and IV is one convex LP
-    assert calls == Counter({"convex": 1})
+    assert calls == Counter({"convex": 1, "lp": 1})
 
 
 def test_pwd_analyze_prior_a(capsys):

@@ -331,8 +331,8 @@ def test_audit_shares_payoff_table_and_iv_solve(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(games, "solve_convex_linear_game",
-                        counting("convex", games.solve_convex_linear_game))
+    monkeypatch.setattr(games, "solve_convex_linear_games",
+                        counting("convex", games.solve_convex_linear_games))
     g = demo_game()
     tensor = g.tensor
     monkeypatch.setattr(Channel, "__init__", counting("channels", Channel.__init__))
@@ -341,9 +341,9 @@ def test_audit_shares_payoff_table_and_iv_solve(monkeypatch):
     # channel object and no per-profile posterior_vuln call
     assert calls["channels"] == 0
     assert g.tensor is tensor and not tensor.flags.writeable
-    # IV (V reuses its LP), and one LP per attacker action that VI_mixed
-    # and VI_behavioral share
-    assert calls["convex"] == 1 + len(g.attackers)
+    # one packed solve for I, IV (V reuses its solution) and the games
+    # per attacker action that VI_mixed and VI_behavioral share
+    assert calls["convex"] == 1
     assert ("IV==V", "IV", "V", True) in report.orderings
 
 

@@ -8,8 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import demo_game
-from leakgames.games import audit_hierarchy, hidden_branch_pieces, payoff_matrix, solve
+from leakgames.games import (
+    audit_hierarchy,
+    hidden_branch_pieces,
+    hidden_pieces,
+    LeakageGame,
+    payoff_matrix,
+    solve,
+)
 from leakgames.minimax import (
+    MAX_PACKED_ROWS,
     binding_pieces,
     branch_value,
     closed_form_2x2,
@@ -20,16 +28,18 @@ from leakgames.minimax import (
     convex_game_unique,
     fictitious_play,
     matrix_game_lp,
+    matrix_game_pieces,
     matrix_game_unique,
     PieceSet,
     prune_pieces,
     solve_convex_linear_game,
+    solve_convex_linear_games,
     solve_matrix_game,
 )
 from leakgames.pwdcheck import build_game, secret_labels
 import leakgames.simplex as simplex
 from leakgames.simplex import EQUAL, LESS, LinearProgram, lp_solve
-from leakgames.vuln import Prior
+from leakgames.vuln import Prior, VulnMeasure
 
 DEMO_PAYOFF = np.array([[0.5, 1.0], [1.0, 2 / 3]])
 
@@ -385,10 +395,10 @@ GAIN_VALUES = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 2.0])
 
 
 @st.composite
-def convex_games(draw):
+def convex_games(draw, n_d=None):
     """Random convex games whose pieces are drawn from a small pool per
     branch, so that duplicated and dominated pieces are common."""
-    n_d = draw(st.integers(1, 4))
+    n_d = draw(st.integers(1, 4)) if n_d is None else n_d
     n_a = draw(st.integers(1, 3))
     pieces = []
     for _ in range(n_a):
@@ -516,12 +526,20 @@ def test_pure_strategy_starts_are_feasible_bases_of_both_lp_forms(pieces):
 @contextlib.contextmanager
 def _every_lp_started():
     """Fails unless every ``lp_solve`` call that minimax makes inside the
-    block passes a start."""
-    with mock.patch("leakgames.minimax.lp_solve", wraps=lp_solve) as solve_lp:
-        yield
-    starts = [call.args[1] if len(call.args) > 1 else call.kwargs.get("start")
-              for call in solve_lp.call_args_list]
-    assert starts and all(start is not None for start in starts)
+    block passes a start and runs no phase 1.  Yields the list of the
+    calls' (lp, start), filled as they are made."""
+    calls, phase1 = [], []
+
+    def solving(lp, start=None):
+        sol = lp_solve(lp, start)
+        calls.append((lp, start))
+        phase1.append(sol.diagnostics["phase1_iterations"])
+        return sol
+
+    with mock.patch("leakgames.minimax.lp_solve", solving):
+        yield calls
+    assert calls and all(start is not None for _, start in calls)
+    assert phase1 == [0] * len(calls)
 
 
 @settings(max_examples=100, deadline=None)
@@ -533,6 +551,92 @@ def test_solves_and_uniqueness_probes_start_from_a_basis(pieces):
         matrix_game_unique(u, solve_matrix_game(u).value)
 
 
+def _packed_places(sets) -> list:
+    """Where the rows and columns of each game's own epigraph LP (one
+    PieceSet per game) go in the LP that packs them all, per game:
+    every game's per-a rows, then their piece rows, then the simplex
+    rows; the z's, then the t's, then each game's delta."""
+    n_a = [ps.n_a for ps in sets]
+    n_t = [ps.shared[0].shape[0] for ps in sets]
+    n_p = [int((~ps.alone).sum()) for ps in sets]
+    n_games, n_d = len(sets), sets[0].n_d
+    places = []
+    for g in range(n_games):
+        rows = np.concatenate([sum(n_a[:g]) + np.arange(n_a[g]),
+                               sum(n_a) + sum(n_p[:g]) + np.arange(n_p[g]),
+                               [sum(n_a) + sum(n_p) + g]])
+        cols = np.concatenate([[g], n_games + sum(n_t[:g]) + np.arange(n_t[g]),
+                               n_games + sum(n_t) + g * n_d + np.arange(n_d)])
+        places.append((rows, cols))
+    return places
+
+
+def _packed_lp(games) -> LinearProgram:
+    """The games' own epigraph LPs, each written out by
+    ``_reference_epigraph_lp``, placed in one LP by ``_packed_places``."""
+    lps = [_reference_epigraph_lp(pieces) for pieces in games]
+    places = _packed_places([PieceSet.from_arrays(pieces) for pieces in games])
+    n_row, n_var = sum(lp.b.shape[0] for lp in lps), sum(lp.n_vars for lp in lps)
+    c, A, b, slack = np.zeros(n_var), np.zeros((n_row, n_var)), np.zeros(n_row), np.zeros(n_row)
+    free = np.zeros(n_var, dtype=bool)
+    for lp, (rows, cols) in zip(lps, places):
+        c[cols], A[np.ix_(rows, cols)], free[cols] = lp.c, lp.A, lp.free
+        b[rows], slack[rows] = lp.b, lp.slack
+    return LinearProgram(c=c, A=A, b=b, slack=slack, sense="min", free=free)
+
+
+def _stacked_starts(games, attacker: bool) -> tuple:
+    """Each game's pure-strategy start of its own (pruned) LP, placed in
+    the LP that packs them all: the start that LP should get."""
+    kept = [prune_pieces(pieces) for pieces in games]
+    start_at = convex_game_attacker_start if attacker else convex_game_start
+    stacked = [[], []]
+    for ps, (rows, cols) in zip(kept, _packed_places(kept)):
+        variables, slacks = start_at(ps)
+        # the attacker LP's variables are the epigraph LP's rows, and
+        # its rows the epigraph LP's variables
+        stacked[0].extend((rows if attacker else cols)[variables])
+        stacked[1].extend((cols if attacker else rows)[slacks])
+    return tuple(np.sort(v) for v in stacked)
+
+
+def _assert_packed_from_stacked_starts(games, calls):
+    """The LPs ``calls`` solved pack ``games`` in order, each within
+    MAX_PACKED_ROWS rows unless it holds one game, and each starts from
+    its games' stacked pure-strategy starts."""
+    sizes = [(lp.b.shape[0], lp.n_vars) for lp in
+             (convex_game_lp(prune_pieces(pieces))[0] for pieces in games)]
+    first = 0
+    for lp, start in calls:
+        attacker = lp.sense == "max"
+        primal = (lp.n_vars, lp.b.shape[0]) if attacker else (lp.b.shape[0], lp.n_vars)
+        packed = np.cumsum(sizes[first:], axis=0)
+        n = 1 + int(np.flatnonzero((packed == primal).all(axis=1))[0])
+        assert n == 1 or lp.b.shape[0] <= MAX_PACKED_ROWS
+        expected = _stacked_starts(games[first:first + n], attacker)
+        assert [v.tolist() for v in start] == [v.tolist() for v in expected]
+        first += n
+    assert first == len(games)
+
+
+def _audit_games(game) -> list:
+    """The convex games an audit solves: I's matrix game, IV's hidden
+    game and VI's one per attacker action."""
+    pieces = hidden_pieces(game)
+    return [matrix_game_pieces(payoff_matrix(game).data), pieces, *([p] for p in pieces)]
+
+
+def _wide_game() -> LeakageGame:
+    """A game of the widest shape of the audit benchmark: |D| 5, |A| 5,
+    8 secrets, 3 observables."""
+    rng = np.random.default_rng(36)
+    labels = [[f"{tag}{i}" for i in range(n)] for tag, n in zip("dax", (5, 5, 8))]
+    prior = Prior(dict(zip(labels[2], rng.dirichlet(np.ones(8)))))
+    return LeakageGame.from_tensor(*labels, ["y0", "y1", "y2"],
+                                   rng.dirichlet(np.ones(3), size=(5, 5, 8)), prior,
+                                   VulnMeasure.bayes())
+
+
 def test_demo_game_audit_and_probes_start_from_a_basis():
     game = demo_game()
     with _every_lp_started():
@@ -540,6 +644,113 @@ def test_demo_game_audit_and_probes_start_from_a_basis():
         convex_game_unique([hidden_branch_pieces(game, a) for a in game.attackers],
                            solve(game, "IV").value)
         matrix_game_unique(payoff_matrix(game).data, solve(game, "I").value)
+    # an audit of the benchmark's sizes is one LP, started from the
+    # games' stacked pure-strategy starts
+    for game in (demo_game(), _wide_game()):
+        with _every_lp_started() as calls:
+            audit_hierarchy(game)
+        assert len(calls) == 1
+        _assert_packed_from_stacked_starts(_audit_games(game), calls)
+    # the 4-bit checker's audit packs its 18 games into LPs within the
+    # cap; its IV game alone has 73 rows
+    game = build_game(4, Prior.uniform(secret_labels(4)))
+    with _every_lp_started() as calls:
+        audit_hierarchy(game)
+    assert 1 < len(calls) < 18
+    assert max(lp.b.shape[0] for lp, _ in calls) <= MAX_PACKED_ROWS
+    _assert_packed_from_stacked_starts(_audit_games(game), calls)
+
+
+def _reference_epigraph_lp(pieces) -> LinearProgram:
+    """One game's epigraph LP written out group by group, as the module
+    docstring states it: variables z, one t per group of two or more
+    pieces, delta; rows per a, per piece of such a group, the simplex."""
+    ps = PieceSet.from_arrays(pieces)
+    members = [np.flatnonzero(ps.group == g) for g in range(ps.n_groups)]
+    shared = [g for g in range(ps.n_groups) if len(members[g]) > 1]
+    n_a, n_t, n_d = ps.n_a, len(shared), ps.n_d
+    n_p = sum(len(members[g]) for g in shared)
+    c = np.zeros(1 + n_t + n_d)
+    c[0] = 1.0
+    A = np.zeros((n_a + n_p + 1, 1 + n_t + n_d))
+    A[:n_a, 0] = -1.0
+    row = n_a
+    for g, pieces_g in enumerate(members):
+        a = ps.branch[g]
+        if len(pieces_g) == 1:
+            A[a, 1 + n_t:] += ps.k[pieces_g[0]]
+            continue
+        t = 1 + shared.index(g)
+        A[a, t] = 1.0
+        for i in pieces_g:
+            A[row, t], A[row, 1 + n_t:] = -1.0, ps.k[i]
+            row += 1
+    A[-1, 1 + n_t:] = 1.0
+    b = np.zeros(n_a + n_p + 1)
+    b[-1] = 1.0
+    return LinearProgram.build(c, A, [LESS] * (n_a + n_p) + [EQUAL], b, sense="min",
+                               free=list(range(1 + n_t)))
+
+
+def _assert_same_bits(lp, ref):
+    assert lp.sense == ref.sense
+    for name in ("c", "A", "b", "slack", "free"):
+        got, want = getattr(lp, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+def _highs_guarantee(pieces, alpha) -> float:
+    """min over delta of sum_a alpha_a (branch a's payoff), by HiGHS: the
+    one-branch game of every group, its pieces scaled by its branch's
+    alpha and padded to one width by repeating the last piece."""
+    n_w = max(p.shape[1] for p in pieces)
+    groups = [np.concatenate([w * p, np.repeat(w * p[:, -1:], n_w - p.shape[1], axis=1)],
+                             axis=1) for w, p in zip(alpha, pieces)]
+    return _highs_convex_game_value([np.concatenate(groups)])
+
+
+@st.composite
+def packed_games(draw):
+    """One to four convex games over one delta, and sometimes, at a
+    drawn place among them, a game whose LP alone exceeds the cap.
+    Returns the games and the place of that game (None without it)."""
+    n_d = draw(st.integers(2, 4))
+    games = [draw(convex_games(n_d=n_d)) for _ in range(draw(st.integers(1, 4)))]
+    if not draw(st.booleans()):
+        return games, None
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    big = draw(st.integers(0, len(games)))
+    games.insert(big, [rng.random((MAX_PACKED_ROWS, 4, n_d)) / MAX_PACKED_ROWS
+                       for _ in range(2)])
+    return games, big
+
+
+@settings(max_examples=40, deadline=None)
+@given(packed_games())
+def test_packed_games_solve_as_they_do_alone(drawn):
+    pytest.importorskip("scipy")
+    games, big = drawn
+    # the packed LP is the games' own LPs, placed bit for bit, and a
+    # pack of one game is its own LP; its starts are theirs, stacked
+    for pack in (games, games[:1]):
+        _assert_same_bits(convex_game_lp(PieceSet.from_games(pack))[0], _packed_lp(pack))
+        packed = prune_pieces(PieceSet.from_games(pack))
+        for start_at, attacker in ((convex_game_start, False), (convex_game_attacker_start, True)):
+            expected = _stacked_starts(pack, attacker)
+            assert [v.tolist() for v in start_at(packed)] == [v.tolist() for v in expected]
+    sols = solve_convex_linear_games(games)
+    assert len(sols) == len(games)
+    for g, (pieces, sol) in enumerate(zip(games, sols)):
+        alone = solve_convex_linear_game(pieces)
+        assert abs(sol.value - alone.value) <= 1e-12
+        # a game over the cap is solved alone, and no pack exceeds it
+        assert (sol.diagnostics == alone.diagnostics) if g == big else (
+            sol.diagnostics["lp_rows"] <= MAX_PACKED_ROWS)
+        if g == big:
+            assert alone.diagnostics["lp_rows"] > MAX_PACKED_ROWS
+        assert max(branch_value(p, sol.delta) for p in pieces) <= sol.value + 1e-9
+        assert _highs_guarantee(pieces, sol.alpha) >= sol.value - 1e-9
 
 
 def test_4bit_checker_lp_starts_at_a_pure_strategy():
