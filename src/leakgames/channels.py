@@ -38,18 +38,23 @@ def stochastic(data, row_name) -> np.ndarray:
     finite and in [0, 1], row sums 1, both within ``VALIDATION_TOL``;
     then each row is renormalised exactly.  ``row_name(index)`` names a
     failing row by its index over the leading axes, so stacked channels
-    are checked in one pass."""
+    are checked in one pass.  The row sums are taken again only when an
+    entry below 0 was clipped: -0.0, which the clip turns into 0.0,
+    leaves every sum as it was."""
     data = np.array(data, dtype=float)
     if data.size == 0:
         raise ValueError("channel must have at least one row and column")
-    if not -VALIDATION_TOL <= data.min() <= data.max() <= 1 + VALIDATION_TOL:  # NaN fails too
+    low = data.min()
+    if not -VALIDATION_TOL <= low <= data.max() <= 1 + VALIDATION_TOL:  # NaN fails too
         raise ValueError("channel entries must be finite and lie in [0, 1]")
     sums = data.sum(axis=-1)
     worst = np.unravel_index(np.argmax(np.abs(sums - 1.0)), sums.shape)
     if abs(sums[worst] - 1.0) > VALIDATION_TOL:
         raise ValueError(f"{row_name(worst)} sums to {sums[worst]:.12g}, expected 1")
     np.clip(data, 0.0, None, out=data)
-    data /= data.sum(axis=-1, keepdims=True)
+    if low < 0.0:
+        sums = data.sum(axis=-1)
+    data /= sums[..., None]
     return data
 
 

@@ -38,8 +38,8 @@ the LP is solved, or its dual when that has fewer rows
 (``LinearProgram.dual_solution`` reads the epigraph LP's solution back
 off it), and delta is the epigraph LP's primal and alpha minus the
 duals of its per-a rows.  Either LP has a
-feasible basis at a pure strategy, and the solve starts there, with no
-phase 1: ``convex_game_start`` puts delta on the pure d with the
+feasible basis at a pure strategy, and the solve starts there:
+``convex_game_start`` puts delta on the pure d with the
 smallest worst branch, and ``convex_game_attacker_start`` puts alpha on
 the branch a whose pieces, one per group, guarantee the most.  The
 uniqueness probes use the full, unpruned LP and its dual, each solved
@@ -535,7 +535,6 @@ def _solve_packed(ps: PieceSet, totals: list) -> list:
     share = sign * solved.c * raw.x
     diagnostics = {
         "gap": sol.gap, "iterations": sol.iterations,
-        "phase1_iterations": sol.diagnostics["phase1_iterations"],
         "lp_rows": solved.b.shape[0], "lp_cols": solved.n_vars,
         "formulation": "defender" if solved is lp else "attacker",
     }

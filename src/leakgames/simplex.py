@@ -1,6 +1,7 @@
-"""Self-contained dense linear programming: a two-phase revised primal
-simplex for the small, exactness-sensitive programs this package
-produces (matrix games, epigraph formulations, convex-hull membership).
+"""Self-contained dense linear programming: a revised primal simplex,
+started from a feasible basis, for the small, exactness-sensitive
+programs this package produces (matrix games, epigraph formulations,
+convex-hull membership).
 A ``LinearProgram`` is held as arrays from its builder to the solver:
 the objective c, the m x n matrix A, the right-hand sides b, each
 row's relation coded as its slack coefficient, and a mask of the free
@@ -11,15 +12,11 @@ change with it).  The solver carries the
 dense inverse of the basis, (m+1) x (m+1) whatever the number of
 columns: ``_run_phase`` drives the pivot loop of leakgames._kernel_py
 (Devex pricing), reached through the module global ``_kernel``, and
-``_refactor`` reinverts the basis between its calls.  A caller that
-knows a primal feasible basis passes it to ``lp_solve`` as ``start``;
-phase 2 runs from it, with no artificial columns and no phase 1.
-Every LP that ``minimax`` builds starts so: a game LP at a pure
-strategy, a uniqueness probe at its game LP's optimal basis, which
-``LPSolution.basis`` hands back in the same form.  A cold solve (a
-direct ``lp_solve`` call) starts from the slack basis with one
-artificial per row that has no +1 slack once b is made nonnegative,
-and skips phase 1 when there is no such row.  Variables are
+``_refactor`` reinverts the basis between its calls.  The caller names
+a primal feasible basis as ``lp_solve``'s ``start``, and the simplex
+runs from it.  Every LP that ``minimax`` builds starts so: a game LP
+at a pure strategy, a uniqueness probe at its game LP's optimal basis,
+which ``LPSolution.basis`` hands back in the same form.  Variables are
 nonnegative or free (a difference of two nonnegative ones); general
 upper bounds are out of scope.
 """
@@ -37,7 +34,6 @@ _kernel = _kernel_py
 KERNEL_NAME = "python"      # reported by perfbench/worker.py's environment record
 
 PIVOT_TOL = 1e-9
-FEAS_TOL = 1e-8
 TABOO = 1e100
 
 LESS, EQUAL, GREATER = "<=", "=", ">="
@@ -130,9 +126,10 @@ class LinearProgram:
 class LPSolution:
     """``basis`` is the final basis of an optimal solve as ``lp_solve``'s
     start (basic variables, rows with a basic slack), so passing it back
-    restarts at the optimum; None when phase 1 dropped a redundant row."""
+    restarts at the optimum; None when the solve is not optimal, or the
+    solution was read off a dual (``LinearProgram.dual_solution``)."""
 
-    status: str  # "optimal" | "infeasible" | "unbounded" | "stalled"
+    status: str  # "optimal" | "unbounded" | "stalled"
     x: np.ndarray | None = None
     duals: np.ndarray | None = None
     objective: float | None = None
@@ -180,12 +177,11 @@ def _refactor(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray,
 
 
 def _run_phase(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray,
-               max_iter: int, fresh=None):
+               max_iter: int, fresh: tuple):
     """Simplex over all columns of A, reinverting after every REFRESH and
     every claim of the kernel.  Returns (status, work, y, iterations);
     status is a kernel constant.  ``fresh`` is ``_refactor``'s (work, y)
-    for ``basis`` when the caller has just reinverted it; otherwise the
-    phase reinverts first.  A claim counts only when made on a
+    for ``basis``, just reinverted.  A claim counts only when made on a
     fresh inverse; an optimal one whose exact values are infeasible is
     repaired by dual pivots.  A reinversion that fails (singular, or
     values below -1e-7) sends the phase back to the last basis that
@@ -194,7 +190,7 @@ def _run_phase(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray,
     raises SolverError.
     """
     iterations, weights = 0, np.ones(A.shape[1])
-    work, y = _refactor(A, b, c, basis) if fresh is None else fresh
+    work, y = fresh
     good = basis.copy()
     while True:
         budget = max_iter - iterations
@@ -228,7 +224,7 @@ def _standard_form(lp: LinearProgram):
     """Scale each row of ``lp`` to unit infinity-norm, negate those with
     a negative right-hand side (flipping their slack sign), and expand
     the columns: the variables, the negative halves of the free ones,
-    then one slack per inequality row.  Returns (A_std, b_std, slack_std, flips,
+    then one slack per inequality row.  Returns (A_std, b_std, flips,
     col_index, col_sign, slack_rows): main column k is col_sign[k] times
     original column col_index[k], and the slack columns belong to the
     rows slack_rows in order; flips maps row duals back to the original
@@ -255,7 +251,7 @@ def _standard_form(lp: LinearProgram):
     np.negative(main, out=main, where=(b < 0)[:, None])
     np.negative(main[:, free_cols], out=A_std[:, n:n_main])
     A_std[slack_rows, n_main + np.arange(slack_rows.shape[0])] = slack_std[slack_rows]
-    return A_std, b_std, slack_std, flip / scale, col_index, col_sign, slack_rows
+    return A_std, b_std, flip / scale, col_index, col_sign, slack_rows
 
 
 def _started_basis(A: np.ndarray, b: np.ndarray, c: np.ndarray, lp: LinearProgram,
@@ -296,79 +292,28 @@ def _started_basis(A: np.ndarray, b: np.ndarray, c: np.ndarray, lp: LinearProgra
     return basis, (work, y)
 
 
-def lp_solve(lp: LinearProgram, start=None) -> LPSolution:
-    """Solve ``lp`` and return primal values, row duals and the duality gap.
+def lp_solve(lp: LinearProgram, start) -> LPSolution:
+    """Solve ``lp`` from the primal feasible basis ``start`` and return
+    primal values, row duals and the duality gap.
+
+    ``start`` = (variables, slack rows) names the basis: the indices of
+    its basic variables and the rows whose slack is basic, m in all.
 
     Row duals are reported so that sum(duals * rhs) equals the optimal
     objective at zero gap; for a minimisation, duals of ``<=`` rows are
     <= 0 and of ``>=`` rows >= 0 (flipped for maximisation).
-
-    ``start`` = (variables, slack rows) names a primal feasible basis:
-    the indices of its basic variables and the rows whose slack is
-    basic, m in all.  Phase 2 then runs from it, with no artificials and
-    no phase 1.  Without it the solve starts cold, from the slack basis
-    with an artificial on every row of the standard form that has no +1
-    slack; phase 1 runs only when there is such a row.
     """
     n = lp.n_vars
     minimize = lp.sense == "min"
     c0 = lp.c if minimize else -lp.c
-    A_std, b_std, slack_std, flips_arr, col_index, col_sign, slack_rows = _standard_form(lp)
+    A_std, b_std, flips_arr, col_index, col_sign, slack_rows = _standard_form(lp)
     (m, n_std), n_main = A_std.shape, col_index.shape[0]
     c_std = np.zeros(n_std)
     c_std[:n_main] = c0[col_index] * col_sign
 
-    need_artificial = np.flatnonzero(slack_std != 1.0)
-    n_art = need_artificial.shape[0]
-    if start is None:
-        basis = np.empty(m, dtype=np.int64)
-        basis[slack_rows] = np.arange(n_main, n_std)
-        basis[need_artificial] = np.arange(n_std, n_std + n_art)
-        fresh = None
-    else:
-        basis, fresh = _started_basis(A_std, b_std, c_std, lp, start, slack_rows)
-
-    iterations = 0
-    max_iter = 5000 + 100 * (m + n_std + n_art)
-
-    keep_rows = np.arange(m)
-    if (basis >= n_std).any():
-        # phase 1: minimise the sum of artificials
-        A1 = np.hstack([A_std, np.zeros((m, n_art))])
-        A1[need_artificial, n_std + np.arange(n_art)] = 1.0
-        c1 = np.concatenate([np.zeros(n_std), np.ones(n_art)])
-        status, work, _, its = _run_phase(A1, b_std, c1, basis, max_iter)
-        iterations += its
-        if status == _kernel_py.ITERATION_LIMIT:
-            return LPSolution(status="stalled", iterations=iterations)
-        if status == _kernel_py.UNBOUNDED:
-            raise SolverError("phase 1 reported unbounded; its objective is bounded below")
-        phase1 = -work[m, m]
-        if phase1 > FEAS_TOL:
-            return LPSolution(status="infeasible", iterations=iterations,
-                              diagnostics={"phase1": phase1})
-        # drive the artificials out (row i of B^-1 A picks the column);
-        # where that row is zero, drop the artificial and its redundant row
-        drop = []
-        for i in np.flatnonzero(basis >= n_std):
-            nonzero = np.flatnonzero(np.abs(work[i, :m] @ A_std) > PIVOT_TOL)
-            if nonzero.size:
-                j = int(nonzero[0])
-                _kernel_py.pivot_on(work, i, work[:, :m] @ A_std[:, j])
-                basis[i] = j
-            else:
-                drop.append(i)
-        if drop:
-            rows = need_artificial[basis[drop] - n_std]
-            basis, keep_rows = np.delete(basis, drop), np.delete(keep_rows, rows)
-            A_std, b_std = np.delete(A_std, rows, axis=0), np.delete(b_std, rows)
-            m -= len(drop)
-    phase1_iterations = iterations
-
-    # phase 2 on the artificial-free columns
-    phase2 = (A_std, b_std, c_std, basis, max_iter - iterations)
-    status, work, y_std, its = _run_phase(*phase2) if fresh is None else _run_phase(*phase2, fresh)
-    iterations += its
+    basis, fresh = _started_basis(A_std, b_std, c_std, lp, start, slack_rows)
+    status, work, y_std, iterations = _run_phase(A_std, b_std, c_std, basis,
+                                                 5000 + 100 * (m + n_std), fresh)
     if status != _kernel_py.OPTIMAL:
         return LPSolution(status="unbounded" if status == _kernel_py.UNBOUNDED else "stalled",
                           iterations=iterations)
@@ -377,10 +322,7 @@ def lp_solve(lp: LinearProgram, start=None) -> LPSolution:
     x_std[basis] = work[:m, m]
     x = x_std[:n].copy()
     x[col_index[n:]] -= x_std[n:n_main]
-
-    y_full = np.zeros(lp.b.shape[0])
-    y_full[keep_rows] = y_std
-    duals0 = flips_arr * y_full
+    duals0 = flips_arr * y_std
 
     primal0 = float(c0 @ x)
     gap = abs(primal0 - float(duals0 @ lp.b))
@@ -393,12 +335,10 @@ def lp_solve(lp: LinearProgram, start=None) -> LPSolution:
     objective = primal0 if minimize else -primal0
     duals = duals0 if minimize else -duals0
     main = basis < n_main       # col_index maps a free variable's negative half to it
-    named = None if m < lp.b.shape[0] else (col_index[basis[main]],
-                                            slack_rows[basis[~main] - n_main])
     return LPSolution(status="optimal", x=x, duals=duals, objective=objective, gap=gap,
-                      max_residual=residual, iterations=iterations, basis=named,
-                      diagnostics={"rows": lp.b.shape[0], "cols": n,
-                                   "phase1_iterations": phase1_iterations})
+                      max_residual=residual, iterations=iterations,
+                      basis=(col_index[basis[main]], slack_rows[basis[~main] - n_main]),
+                      diagnostics={"rows": m, "cols": n})
 
 
 def require_optimal(solution: LPSolution, what: str = "linear program") -> LPSolution:

@@ -103,6 +103,20 @@ def _fit_program(T: np.ndarray, B: np.ndarray) -> LinearProgram:
                                np.concatenate([b_ub, b_eq]))
 
 
+def _fit_start(T: np.ndarray, B: np.ndarray) -> tuple:
+    """A feasible basis of ``_fit_program(T, B)`` as ``lp_solve``'s start
+    (basic variables, rows with a basic slack): R[i, 0] = 1 is basic on
+    each row-sum row, t on the inequality row of the largest |B R - T|,
+    and every other inequality row keeps its slack.  With the slack rows
+    eliminated the basis is [[1^T, -1], [I, 0]] up to signs, which is
+    nonsingular."""
+    c, a_ub, b_ub, _, _ = _fit_lp(T, B)
+    k = B.shape[1]
+    excess = a_ub[:, :k].sum(axis=1) - b_ub       # each row at R[:, 0] = 1, t = 0
+    return (np.append(np.arange(k), c.size - 1),
+            np.delete(np.arange(b_ub.size), np.argmax(excess)))
+
+
 def _certified_optimal(T: np.ndarray, B: np.ndarray, sol: LPSolution,
                        tol: float = 1e-12) -> bool:
     """Whether ``sol``'s x and row duals, checked here against the data
@@ -118,10 +132,11 @@ def _certified_optimal(T: np.ndarray, B: np.ndarray, sol: LPSolution,
 
 
 def _fit_mismatch(T: np.ndarray, B: np.ndarray, sol: LPSolution) -> str | None:
-    """Why ``sol``, lp_solve's solution of ``_fit_program(T, B)``, is
-    wrong, or None: it must be optimal, feasible to 1e-9, and within
-    1e-9 of HiGHS's objective, plus however far HiGHS's own point
-    violates the LP (its tolerances apply to its internally scaled LP).
+    """Why ``sol``, lp_solve's solution of ``_fit_program(T, B)`` from
+    ``_fit_start(T, B)``, is wrong, or None: it must be optimal, feasible
+    to 1e-9, and within 1e-9 of HiGHS's objective, plus however far
+    HiGHS's own point violates the LP (its tolerances apply to its
+    internally scaled LP).
     Where HiGHS gives up (about one fit in 3000), there is no reference.
     On some fits of a target made of one repeated row, from a base
     within 1e-8 of it, HiGHS stops about 5e-9 above the optimum of 0

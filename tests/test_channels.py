@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import _postprocessing_fit, channel, mix_example_channels, random_channel
@@ -11,6 +11,7 @@ from leakgames.channels import (
     binary_visible,
     equivalent,
     hidden_choice,
+    stochastic,
     visible_choice,
     zero_extend,
 )
@@ -31,6 +32,23 @@ def test_channel_validation():
         channel("01", "01", [[1.1, -0.1], [0.5, 0.5]])
     c = channel("01", "01", [[0.5 + 4e-10, 0.5], [0.5, 0.5 - 4e-10]])
     assert np.allclose(c.data.sum(axis=1), 1.0, atol=0)
+
+
+def test_stochastic_is_bit_identical_to_clipping_and_summing_again():
+    # the row sums of the check are reused unless an entry was clipped
+    def reference(data):
+        clipped = np.clip(data, 0.0, None)
+        return clipped / clipped.sum(axis=-1, keepdims=True)
+
+    rng = np.random.default_rng(5)
+    unclipped = rng.dirichlet(np.ones(4), size=(3, 5))
+    unclipped[1, 2] = [0.5, -0.0, 0.25 + 4e-10, 0.25]
+    clipped = unclipped.copy()
+    clipped[0, 1] = [-5e-10, 0.3 + 5e-10, 0.2, 0.5]
+    for data in (unclipped, clipped):
+        got = stochastic(data, str)
+        assert np.array_equal(got.view(np.int64), reference(data).view(np.int64))
+    assert clipped[0, 1, 0] == -5e-10        # the input is not touched
 
 
 def test_channel_validation_rejects_non_finite_entries():
@@ -468,15 +486,21 @@ def test_equivalent_agrees_with_lp_fit(pair, scale, swap, data):
 
 @settings(max_examples=200, deadline=None)
 @given(equivalent_pairs(), st.floats(0.0, 20.0), st.data())
+# found at random: HiGHS's raw fit of this pair errs by 6.1e-12, where the
+# optimum and the witnesses reach 3.05e-12 (see _postprocessing_fit).  It
+# is given already moved, so it draws no move
+@example(pair=(channel("01", "0", [[1.0], [1.0]]),
+               channel("01", "01", [[0.25 - 6.1e-12, 0.75 + 6.1e-12], [0.25, 0.75]])),
+         scale=0.0, data=None)
 def test_equivalent_verdict_is_a_feasible_lp_fit(pair, scale, data):
     # near TOL the check may refuse a pair the LP fits, never the reverse
     c, t = pair
-    x = data.draw(st.integers(0, len(t.secrets) - 1))
-    j = data.draw(st.integers(0, len(t.observables) - 1))
-    k = data.draw(st.integers(0, len(t.observables) - 1))
-    delta = min(scale * TOL, t.data[x, j])
-    if j != k:
-        t = _move(t, x, j, k, delta)
+    if scale:       # move scale * TOL within one row
+        x = data.draw(st.integers(0, len(t.secrets) - 1))
+        j = data.draw(st.integers(0, len(t.observables) - 1))
+        k = data.draw(st.integers(0, len(t.observables) - 1))
+        if j != k:
+            t = _move(t, x, j, k, min(scale * TOL, t.data[x, j]))
     result = equivalent(c, t, tol=TOL)
     if result.equivalent:
         _check_witnesses(c, t, result)

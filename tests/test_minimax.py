@@ -199,7 +199,7 @@ def test_convex_game_attacker_lp_matches_primal():
     pieces = demo_hidden_pieces()
     primal = solve_convex_linear_game(pieces)
     dual_lp, n_a = convex_game_attacker_lp(pieces)
-    dual = lp_solve(dual_lp)
+    dual = lp_solve(dual_lp, convex_game_attacker_start(pieces))
     assert dual.optimal
     assert dual.objective == pytest.approx(primal.value, abs=1e-9)
     assert dual.x[0] == pytest.approx(primal.alpha[0], abs=1e-8)
@@ -515,31 +515,28 @@ def test_pure_strategy_starts_are_feasible_bases_of_both_lp_forms(pieces):
             assert [v.tolist() for v in start] == [list(v) for v in reference]
         for program, start in zip((lp, lp.dual()), starts):
             _assert_feasible_start(program, start)
-            cold = lp_solve(program)
             with mock.patch.object(simplex, "_run_phase", wraps=simplex._run_phase) as phase:
                 warm = lp_solve(program, start)
             assert phase.call_count == 1
-            assert warm.optimal and warm.diagnostics["phase1_iterations"] == 0
-            assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+            assert warm.optimal
+            assert warm.objective == pytest.approx(_highs_convex_game_value(pieces), abs=1e-9)
 
 
 @contextlib.contextmanager
 def _every_lp_started():
     """Fails unless every ``lp_solve`` call that minimax makes inside the
-    block passes a start and runs no phase 1.  Yields the list of the
-    calls' (lp, start), filled as they are made."""
-    calls, phase1 = [], []
+    block starts from a feasible basis (``_assert_feasible_start``).
+    Yields the list of the calls' (lp, start), filled as they are made."""
+    calls = []
 
-    def solving(lp, start=None):
-        sol = lp_solve(lp, start)
+    def solving(lp, start):
+        _assert_feasible_start(lp, start)
         calls.append((lp, start))
-        phase1.append(sol.diagnostics["phase1_iterations"])
-        return sol
+        return lp_solve(lp, start)
 
     with mock.patch("leakgames.minimax.lp_solve", solving):
         yield calls
-    assert calls and all(start is not None for _, start in calls)
-    assert phase1 == [0] * len(calls)
+    assert calls
 
 
 @settings(max_examples=100, deadline=None)
@@ -754,12 +751,11 @@ def test_packed_games_solve_as_they_do_alone(drawn):
 
 
 def test_4bit_checker_lp_starts_at_a_pure_strategy():
-    # 96 pivots from a cold start (49 of them in phase 1); the pure-strategy
-    # start needs 25
+    # the pure-strategy start needs 25 pivots
     game = build_game(4, Prior.uniform(secret_labels(4)))
     diagnostics = solve(game, "IV").diagnostics
     assert diagnostics["formulation"] == "attacker"
-    assert diagnostics["phase1_iterations"] == 0 and diagnostics["iterations"] <= 40
+    assert diagnostics["iterations"] <= 40
 
 
 @settings(max_examples=150, deadline=None)
