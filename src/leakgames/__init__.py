@@ -21,22 +21,9 @@ from .games import (
 )
 from .labels import format_label, parse_label, tag
 from .matrix import LabeledMatrix, concat, matrix_sum, scalar_mul
-from .minimax import (
-    closed_form_2x2,
-    fictitious_play,
-    solve_convex_linear_game,
-    solve_convex_linear_games,
-    solve_matrix_game,
-)
+from .minimax import solve_convex_linear_game, solve_convex_linear_games, solve_matrix_game
 from .simplex import LinearProgram, LPSolution, lp_solve
-from .vuln import (
-    Prior,
-    VulnMeasure,
-    leakage,
-    posterior_vuln,
-    posterior_vuln_mc,
-    prior_vuln,
-)
+from .vuln import Prior, VulnMeasure, leakage, posterior_vuln, prior_vuln
 
 __version__ = "0.1.0"
 
@@ -47,9 +34,7 @@ __all__ = [
     "payoff_matrix", "solve",
     "format_label", "parse_label", "tag",
     "LabeledMatrix", "concat", "matrix_sum", "scalar_mul",
-    "LinearProgram", "LPSolution", "closed_form_2x2", "fictitious_play",
-    "lp_solve", "solve_convex_linear_game", "solve_convex_linear_games",
-    "solve_matrix_game",
-    "Prior", "VulnMeasure", "leakage",
-    "posterior_vuln", "posterior_vuln_mc", "prior_vuln",
+    "LinearProgram", "LPSolution", "lp_solve",
+    "solve_convex_linear_game", "solve_convex_linear_games", "solve_matrix_game",
+    "Prior", "VulnMeasure", "leakage", "posterior_vuln", "prior_vuln",
 ]

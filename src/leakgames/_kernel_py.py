@@ -19,7 +19,9 @@ leaving value below 0 (rounding) is set to 0 first, so the step is the
 ratio test's and never goes backwards.  REFRESH asks for a reinversion
 at a pivot below TRUSTED_PIVOT on an inverse that is not fresh.
 ``dual_pivot`` repairs an optimal basis whose exact values are
-infeasible.
+infeasible; the caller bars the column that the previous repair took
+out from entering, so that two bases whose values round below zero in
+turn cannot send the repair back and forth between them.
 """
 
 from __future__ import annotations
@@ -97,28 +99,31 @@ def _ratio_test(work, basis, A, d, j, tol):
 
 
 def dual_pivot(work: np.ndarray, basis: np.ndarray, A: np.ndarray, c: np.ndarray,
-               x_B: np.ndarray, tol: float) -> bool:
+               x_B: np.ndarray, tol: float, barred: int) -> int:
     """One dual simplex pivot on the row of the most negative entry of
     x_B (the basis's exact values) if it is below -HARRIS_TOL, entering
-    by Harris's test on that row of B^-1 A.  Returns whether it pivoted."""
+    by Harris's test on that row of B^-1 A; column ``barred`` (-1 for
+    none) never enters.  Returns the column that left, or -1 when it
+    made no pivot."""
     m = A.shape[0]
     r = int(np.argmin(x_B)) if m else 0
     if not m or x_B[r] >= -HARRIS_TOL:
-        return False
+        return -1
     alpha = work[r, :m] @ A
     d = np.maximum(c + work[m, :m] @ A, 0.0)
     d[basis] = 0.0
     entering = np.flatnonzero(alpha < -tol)
+    entering = entering[entering != barred]
     if entering.size == 0:
-        return False
+        return -1
     ratios = d[entering] / -alpha[entering]
     ties = entering[ratios <= ((d[entering] + HARRIS_TOL) / -alpha[entering]).min()]
     j = int(ties[np.argmin(alpha[ties])])
     col = work[:, :m] @ A[:, j]
     col[m] = d[j]
     pivot_on(work, r, col)
-    basis[r] = j
-    return True
+    left, basis[r] = int(basis[r]), j
+    return left
 
 
 def pivot_on(work: np.ndarray, r: int, col: np.ndarray) -> None:

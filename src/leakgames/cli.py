@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 
@@ -195,7 +196,10 @@ def cmd_pwd(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every
+    later ``main`` call in the process."""
     parser = argparse.ArgumentParser(
         prog="leakgames",
         description="channel composition, leakage measurement and leakage-game solvers")

@@ -1,8 +1,9 @@
-"""Minimax engines: exact LP solvers and an iterative cross-check.
+"""Minimax engines: exact LP solvers for matrix and convex games.
 
 Conventions: in a matrix game the row player minimises and the column
-player maximises.  ``fictitious_play`` independently brackets the value
-and exists to cross-validate the LP, not to replace it.
+player maximises.  The tests check these solvers against references the
+package does not ship (tests/conftest.py): HiGHS, the 2x2 closed form
+and fictitious play.
 
 ``solve_convex_linear_game`` handles payoffs where the row player's
 mixture enters a convex piecewise-linear function (one linear piece per
@@ -114,76 +115,6 @@ def minimax_residual(u: np.ndarray, sol: ConvexGameSolution) -> float:
     """How far either pure deviation moves the payoff of ``sol``, a
     solution of the matrix game u, from its value."""
     return max(abs((sol.delta @ u).max() - sol.value), abs((u @ sol.alpha).min() - sol.value))
-
-
-def closed_form_2x2(payoff):
-    """Completely mixed saddle point of a 2x2 game, if the formula applies.
-
-    Returns (value, delta(row0), alpha(col0)) when the denominator is
-    nonzero and both strategy values land in [0, 1]; None otherwise.
-    """
-    u = _payoff_array(payoff)
-    if u.shape != (2, 2):
-        raise ValueError("closed form needs a 2x2 payoff matrix")
-    den = u[0, 0] - u[0, 1] - u[1, 0] + u[1, 1]
-    if den == 0.0:
-        return None
-    d0 = (u[1, 1] - u[1, 0]) / den
-    a0 = (u[1, 1] - u[0, 1]) / den
-    if not (0.0 <= d0 <= 1.0 and 0.0 <= a0 <= 1.0):
-        return None
-    delta = np.array([d0, 1.0 - d0])
-    alpha = np.array([a0, 1.0 - a0])
-    value = float(delta @ u @ alpha)
-    return value, float(d0), float(a0)
-
-
-@dataclass
-class Bracket:
-    lower: float
-    upper: float
-    row_strategy: np.ndarray
-    col_strategy: np.ndarray
-
-    def contains(self, value: float, slack: float = 1e-9) -> bool:
-        return self.lower - slack <= value <= self.upper + slack
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
-
-def fictitious_play(payoff, iters: int, seed: int = 0) -> Bracket:
-    """Iterative best-response bracketing of the game value.
-
-    Both players repeatedly best-respond to the opponent's empirical
-    mixture (ties broken uniformly at random under ``seed``).  At any
-    iteration count the returned interval [lower, upper] contains the
-    game value; the width shrinks as iters grows.
-    """
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
-    u = _payoff_array(payoff)
-    n_d, n_a = u.shape
-    rng = np.random.default_rng(seed)
-    row_counts = np.zeros(n_d)
-    col_counts = np.zeros(n_a)
-    row_score = np.zeros(n_d)  # cumulative payoff of each row vs col history
-    col_score = np.zeros(n_a)  # cumulative payoff of each col vs row history
-    for _ in range(iters):
-        best_rows = np.flatnonzero(row_score == row_score.min())
-        d = int(rng.choice(best_rows))
-        best_cols = np.flatnonzero(col_score == col_score.max())
-        a = int(rng.choice(best_cols))
-        row_counts[d] += 1
-        col_counts[a] += 1
-        row_score += u[:, a]
-        col_score += u[d, :]
-    delta = row_counts / row_counts.sum()
-    alpha = col_counts / col_counts.sum()
-    upper = float((delta @ u).max())
-    lower = float((u @ alpha).min())
-    return Bracket(lower=lower, upper=upper, row_strategy=delta, col_strategy=alpha)
 
 
 @dataclass

@@ -143,13 +143,6 @@ def expected_iterations(n: int) -> float:
     return 2.0 * (1.0 - 2.0 ** (-n))
 
 
-def expected_iterations_series(n: int) -> float:
-    """Same quantity by direct summation: sum_k k 2^-k + n 2^-n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return sum(k * 2.0 ** (-k) for k in range(1, n + 1)) + n * 2.0 ** (-n)
-
-
 def measured_iterations(n: int, samples: int, seed: int = 0,
                         low_input: str | None = None) -> float:
     """Mean iteration count over uniformly random secrets against a
@@ -194,11 +187,6 @@ def verify_uniform_equilibrium(n: int, payoff_tol: float = 1e-9,
         lp_value=lp_value, lp_gap_to_uniform=gap,
         holds=spread <= payoff_tol and gap <= lp_tol,
     )
-
-
-def permute_bits(x: str, rho) -> str:
-    """Apply a bit permutation: result bit i is x's bit rho(i)."""
-    return "".join(x[r - 1] for r in rho)
 
 
 def bundled_prior(name: str) -> Prior:

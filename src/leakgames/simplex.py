@@ -23,7 +23,7 @@ upper bounds are out of scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -124,10 +124,13 @@ class LinearProgram:
 
 @dataclass
 class LPSolution:
-    """``basis`` is the final basis of an optimal solve as ``lp_solve``'s
-    start (basic variables, rows with a basic slack), so passing it back
-    restarts at the optimum; None when the solve is not optimal, or the
-    solution was read off a dual (``LinearProgram.dual_solution``)."""
+    """What ``lp_solve`` found.  Only ``status`` and ``iterations`` (the
+    pivots made, the repair's dual pivots included) are set when the
+    solve is not optimal.  ``basis`` is the final basis of an optimal
+    solve as ``lp_solve``'s start (basic variables, rows with a basic
+    slack), so passing it back restarts at the optimum; None when the
+    solve is not optimal, or the solution was read off a dual
+    (``LinearProgram.dual_solution``)."""
 
     status: str  # "optimal" | "unbounded" | "stalled"
     x: np.ndarray | None = None
@@ -136,7 +139,6 @@ class LPSolution:
     gap: float | None = None
     max_residual: float | None = None
     iterations: int = 0
-    diagnostics: dict = field(default_factory=dict)
     basis: tuple | None = None
 
     @property
@@ -183,7 +185,8 @@ def _run_phase(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray,
     status is a kernel constant.  ``fresh`` is ``_refactor``'s (work, y)
     for ``basis``, just reinverted.  A claim counts only when made on a
     fresh inverse; an optimal one whose exact values are infeasible is
-    repaired by dual pivots.  A reinversion that fails (singular, or
+    repaired by dual pivots, none of which enters the column that the
+    previous one took out.  A reinversion that fails (singular, or
     values below -1e-7) sends the phase back to the last basis that
     reinverted, with the columns that entered since given the Devex
     weight TABOO, so they are priced last; a second failure in a row
@@ -191,7 +194,7 @@ def _run_phase(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray,
     """
     iterations, weights = 0, np.ones(A.shape[1])
     work, y = fresh
-    good = basis.copy()
+    good, left = basis.copy(), -1
     while True:
         budget = max_iter - iterations
         if budget <= 0:
@@ -201,9 +204,10 @@ def _run_phase(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray,
         status, its = _kernel.run_simplex(work, basis, A, c, PIVOT_TOL, budget, weights)
         repair = its == 0 and status == _kernel_py.OPTIMAL
         if repair:
-            its = int(_kernel_py.dual_pivot(work, basis, A, c, x_B, PIVOT_TOL))
-            if its == 0:
+            left = _kernel_py.dual_pivot(work, basis, A, c, x_B, PIVOT_TOL, left)
+            if left < 0:
                 return status, work, y, iterations
+            its = 1
         elif its == 0 and status == _kernel_py.UNBOUNDED:
             return status, work, y, iterations
         iterations += its
@@ -302,6 +306,11 @@ def lp_solve(lp: LinearProgram, start) -> LPSolution:
     Row duals are reported so that sum(duals * rhs) equals the optimal
     objective at zero gap; for a minimisation, duals of ``<=`` rows are
     <= 0 and of ``>=`` rows >= 0 (flipped for maximisation).
+
+    A basis the kernel calls optimal whose reinverted values fall below
+    zero by rounding is repaired by dual pivots (``_run_phase``); a
+    solve that reaches its pivot limit, 5000 + 100 (rows + columns) of
+    the standard form, returns status "stalled".
     """
     n = lp.n_vars
     minimize = lp.sense == "min"
@@ -337,8 +346,7 @@ def lp_solve(lp: LinearProgram, start) -> LPSolution:
     main = basis < n_main       # col_index maps a free variable's negative half to it
     return LPSolution(status="optimal", x=x, duals=duals, objective=objective, gap=gap,
                       max_residual=residual, iterations=iterations,
-                      basis=(col_index[basis[main]], slack_rows[basis[~main] - n_main]),
-                      diagnostics={"rows": m, "cols": n})
+                      basis=(col_index[basis[main]], slack_rows[basis[~main] - n_main]))
 
 
 def require_optimal(solution: LPSolution, what: str = "linear program") -> LPSolution:

@@ -14,8 +14,8 @@ which needs no normalisation of posteriors and so is indifferent to
 zero-probability observations.  ``posterior_vuln`` and the game payoffs
 both evaluate it through ``stacked_posterior_vuln``.
 
-All functions here are pure; the Monte-Carlo estimator takes an
-explicit seed.
+All functions here are pure.  The tests check ``posterior_vuln``
+against a seeded Monte-Carlo estimate (tests/conftest.py).
 """
 
 from __future__ import annotations
@@ -144,32 +144,6 @@ def best_guesses(measure: VulnMeasure, prior: Prior, channel: Channel):
     order = sorted(range(len(guesses)), key=lambda i: label_key(guesses[i]))
     scores = (measure.gain_matrix(channel.secrets) @ (pi[:, None] * channel.data))[order]
     return {y: guesses[order[i]] for y, i in zip(channel.observables, scores.argmax(axis=0))}
-
-
-def posterior_vuln_mc(measure: VulnMeasure, prior: Prior, channel: Channel,
-                      samples: int, seed: int = 0) -> float:
-    """Monte-Carlo estimate of posterior vulnerability.
-
-    Draws (x, y) pairs from the joint, scores the empirically best
-    guess for each observed y, and averages.  Consistent as samples
-    grows; kept independent of the analytic path so the two can
-    cross-check each other.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    pi = prior.aligned(channel.secrets)
-    n_x = len(channel.secrets)
-    xs = rng.choice(n_x, size=samples, p=pi)
-    cum = channel.data.cumsum(axis=1)
-    u = rng.random(samples)
-    ys = (u[:, None] > cum[xs]).sum(axis=1)
-
-    n_y = len(channel.observables)
-    counts = np.zeros((n_x, n_y))
-    np.add.at(counts, (xs, ys), 1.0)
-    scores = measure.gain_matrix(channel.secrets) @ counts
-    return float(scores.max(axis=0).sum() / samples)
 
 
 def leakage(measure: VulnMeasure, prior: Prior, channel: Channel,

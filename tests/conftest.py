@@ -1,5 +1,7 @@
-"""Shared builders: the two-program demo game, published-table channels,
-and random generators for the property suites."""
+"""Shared builders (the demo game, published-table channels, random
+generators) and the reference oracles that the library does not run."""
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from leakgames.channels import Channel
 from leakgames.games import LeakageGame
 from leakgames.matrix import LabeledMatrix
+from leakgames.minimax import _payoff_array
 from leakgames.simplex import LinearProgram, LPSolution
 from leakgames.vuln import Prior, VulnMeasure
 
@@ -214,6 +217,114 @@ def _postprocessing_fit(target: Channel, base: Channel) -> float:
     scale = 1e-3 / first
     D = _highs_fit(scale * (T - B @ R), B, -scale * R, 0.0)
     return first if D is None else min(first, error(normalised(R + D / scale)))
+
+
+def closed_form_2x2(payoff):
+    """Completely mixed saddle point of a 2x2 game, if the formula applies.
+
+    Returns (value, delta(row0), alpha(col0)) when the denominator is
+    nonzero and both strategy values land in [0, 1]; None otherwise.
+    """
+    u = _payoff_array(payoff)
+    if u.shape != (2, 2):
+        raise ValueError("closed form needs a 2x2 payoff matrix")
+    den = u[0, 0] - u[0, 1] - u[1, 0] + u[1, 1]
+    if den == 0.0:
+        return None
+    d0 = (u[1, 1] - u[1, 0]) / den
+    a0 = (u[1, 1] - u[0, 1]) / den
+    if not (0.0 <= d0 <= 1.0 and 0.0 <= a0 <= 1.0):
+        return None
+    delta = np.array([d0, 1.0 - d0])
+    alpha = np.array([a0, 1.0 - a0])
+    value = float(delta @ u @ alpha)
+    return value, float(d0), float(a0)
+
+
+@dataclass
+class Bracket:
+    lower: float
+    upper: float
+    row_strategy: np.ndarray
+    col_strategy: np.ndarray
+
+    def contains(self, value: float, slack: float = 1e-9) -> bool:
+        return self.lower - slack <= value <= self.upper + slack
+
+    @property
+    def width(self) -> float:
+        return self.upper - self.lower
+
+
+def fictitious_play(payoff, iters: int, seed: int = 0) -> Bracket:
+    """Iterative best-response bracketing of the game value.
+
+    Both players repeatedly best-respond to the opponent's empirical
+    mixture (ties broken uniformly at random under ``seed``).  At any
+    iteration count the returned interval [lower, upper] contains the
+    game value; the width shrinks as iters grows.
+    """
+    if iters < 1:
+        raise ValueError("iters must be >= 1")
+    u = _payoff_array(payoff)
+    n_d, n_a = u.shape
+    rng = np.random.default_rng(seed)
+    row_counts = np.zeros(n_d)
+    col_counts = np.zeros(n_a)
+    row_score = np.zeros(n_d)  # cumulative payoff of each row vs col history
+    col_score = np.zeros(n_a)  # cumulative payoff of each col vs row history
+    for _ in range(iters):
+        best_rows = np.flatnonzero(row_score == row_score.min())
+        d = int(rng.choice(best_rows))
+        best_cols = np.flatnonzero(col_score == col_score.max())
+        a = int(rng.choice(best_cols))
+        row_counts[d] += 1
+        col_counts[a] += 1
+        row_score += u[:, a]
+        col_score += u[d, :]
+    delta = row_counts / row_counts.sum()
+    alpha = col_counts / col_counts.sum()
+    upper = float((delta @ u).max())
+    lower = float((u @ alpha).min())
+    return Bracket(lower=lower, upper=upper, row_strategy=delta, col_strategy=alpha)
+
+
+def posterior_vuln_mc(measure: VulnMeasure, prior: Prior, channel: Channel,
+                      samples: int, seed: int = 0) -> float:
+    """Monte-Carlo estimate of posterior vulnerability.
+
+    Draws (x, y) pairs from the joint, scores the empirically best
+    guess for each observed y, and averages.  Consistent as samples
+    grows; kept independent of the analytic path so the two can
+    cross-check each other.
+    """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    rng = np.random.default_rng(seed)
+    pi = prior.aligned(channel.secrets)
+    n_x = len(channel.secrets)
+    xs = rng.choice(n_x, size=samples, p=pi)
+    cum = channel.data.cumsum(axis=1)
+    u = rng.random(samples)
+    ys = (u[:, None] > cum[xs]).sum(axis=1)
+
+    n_y = len(channel.observables)
+    counts = np.zeros((n_x, n_y))
+    np.add.at(counts, (xs, ys), 1.0)
+    scores = measure.gain_matrix(channel.secrets) @ counts
+    return float(scores.max(axis=0).sum() / samples)
+
+
+def expected_iterations_series(n: int) -> float:
+    """Same quantity by direct summation: sum_k k 2^-k + n 2^-n."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return sum(k * 2.0 ** (-k) for k in range(1, n + 1)) + n * 2.0 ** (-n)
+
+
+def permute_bits(x: str, rho) -> str:
+    """Apply a bit permutation: result bit i is x's bit rho(i)."""
+    return "".join(x[r - 1] for r in rho)
 
 
 def random_game(rng) -> LeakageGame:

@@ -28,6 +28,9 @@ from conftest import (
     DEMO_CHANNELS,
     channel,
     demo_game,
+    expected_iterations_series,
+    fictitious_play,
+    permute_bits,
     random_channel,
     random_game,
     random_prior,
@@ -52,7 +55,6 @@ from leakgames.matrix import concat, matrix_sum, scalar_mul
 from leakgames.minimax import (
     branch_value,
     convex_game_unique,
-    fictitious_play,
     matrix_game_unique,
     solve_convex_linear_game,
     solve_matrix_game,
@@ -61,9 +63,7 @@ from leakgames.pwdcheck import (
     build_game,
     bundled_prior,
     expected_iterations,
-    expected_iterations_series,
     measured_iterations,
-    permute_bits,
     pwd_channel,
     secret_labels,
     verify_uniform_equilibrium,

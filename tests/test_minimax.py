@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import demo_game
+from conftest import closed_form_2x2, demo_game, fictitious_play
 from leakgames.games import (
     audit_hierarchy,
     hidden_branch_pieces,
@@ -20,13 +20,11 @@ from leakgames.minimax import (
     MAX_PACKED_ROWS,
     binding_pieces,
     branch_value,
-    closed_form_2x2,
     convex_game_attacker_lp,
     convex_game_attacker_start,
     convex_game_lp,
     convex_game_start,
     convex_game_unique,
-    fictitious_play,
     matrix_game_lp,
     matrix_game_pieces,
     matrix_game_unique,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import expected_iterations_series, permute_bits
 from leakgames import jsonio
 from leakgames.errors import BadPermutation, TooLarge
 from leakgames.games import (
@@ -17,10 +18,8 @@ from leakgames.pwdcheck import (
     bundled_prior,
     const_time_channel,
     expected_iterations,
-    expected_iterations_series,
     measured_iterations,
     order_labels,
-    permute_bits,
     pwd_channel,
     secret_labels,
     verify_uniform_equilibrium,

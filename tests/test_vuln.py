@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import channel, random_channel, random_prior
+from conftest import channel, posterior_vuln_mc, random_channel, random_prior
 from leakgames.channels import IndexDistribution, hidden_choice, visible_choice
 from leakgames.errors import DuplicateIndex, LabelMismatch
 from leakgames.vuln import (
@@ -12,7 +12,6 @@ from leakgames.vuln import (
     best_guesses,
     leakage,
     posterior_vuln,
-    posterior_vuln_mc,
     prior_vuln,
 )
 
